@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import sympy
 
 Rat = Fraction
 
@@ -353,6 +352,8 @@ def factor_over_Q(p: RatPoly) -> list[tuple[RatPoly, int]]:
         raise ValueError(f"degree {p.degree} exceeds cap {MAX_FACTOR_DEGREE}")
     if p.degree == 0:
         return []
+    import sympy  # a third of the package's import time; only used here
+
     x = sympy.symbols("x")
     expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i
                for i, c in enumerate(p.coeffs))

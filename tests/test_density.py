@@ -1,18 +1,33 @@
 """Preimage fibers, covering radii, and the density budget."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from nilflow.density import (
     BudgetError,
+    CosetSystem,
     DensityReport,
+    _fibre_levels,
+    coset_representatives,
     covering_radius,
     density_experiment,
     preimages,
 )
-from nilflow.nilgroup import ManifoldPoint, identity, reduce
+from nilflow.endo import AutoMap, EndoError
+from nilflow.liealg import from_sparse_triples
+from nilflow.nilgroup import (
+    GroupPoint,
+    ManifoldPoint,
+    from_second_kind,
+    identity,
+    mul,
+    point,
+    reduce,
+)
+from nilflow.ratcore import RatMatrix
 from tests.conftest import rand_rationals
-from nilflow.nilgroup import point
 
 
 @pytest.fixture
@@ -104,3 +119,96 @@ def test_budget_env_must_be_integer(monkeypatch, heis_am, heis_base):
     monkeypatch.setenv("NILFLOW_MAX_POINTS", "lots")
     with pytest.raises(BudgetError):
         density_experiment(heis_am, heis_base, 2)
+
+
+# -- batched exact levels against the scalar Fraction loop ---------------------
+
+def oracle_levels(am, x, k, cosets):
+    """Levels 1..k of the fibre, one point at a time in Fraction arithmetic."""
+    psi_inv = am.matrix.inverse()
+    levels, level = [], [x]
+    for _ in range(k):
+        level = [reduce(GroupPoint(am.algebra, psi_inv.matvec(mul(y.rep, g).coords)))[0]
+                 for y in level for g in cosets.transversal]
+        levels.append(level)
+    return levels
+
+
+def assert_matches_oracle(am, x, k):
+    """Keys, representatives and float coordinates (bitwise) of every level
+    agree with the oracle; returns the batched levels."""
+    cosets = coset_representatives(am)
+    want = oracle_levels(am, x, k, cosets)
+    got = list(_fibre_levels(am, x, k, cosets))
+    assert len(got) == len(want) == k
+    for level, ref in zip(got, want):
+        pts = level.points(am.algebra)
+        assert [p.key() for p in pts] == [p.key() for p in ref]
+        assert [p.rep.coords for p in pts] == [p.rep.coords for p in ref]
+        floats = np.array([[float(c) for c in p.key()] for p in ref])
+        assert level.floats().tobytes() == floats.tobytes()
+    assert preimages(am, x, k, cosets) == want[-1]
+    return got
+
+
+def filiform(step):
+    """[X1, Xj] = X(j+1) for j = 2..step, with psi = diag(2, -1, -2, -4, ...):
+    index 2 * 2 * 4 = 16 at step 3, 16 * 8 = 128 at step 4."""
+    d = step + 1
+    alg = from_sparse_triples(d, [(1, j, j + 1, 1) for j in range(2, d)])
+    diag = [2, -1] + [-(2 ** j) for j in range(1, d - 1)]
+    rows = [[diag[i] if i == j else 0 for j in range(d)] for i in range(d)]
+    return AutoMap(alg, RatMatrix(rows))
+
+
+@pytest.fixture(scope="module")
+def filiform3():
+    return filiform(3)
+
+
+@pytest.fixture(scope="module")
+def filiform4():
+    return filiform(4)
+
+
+def generic_base(am, seed):
+    rng = np.random.default_rng(seed)
+    return reduce(point(am.algebra, rand_rationals(rng, am.algebra.dim)))[0]
+
+
+@pytest.mark.parametrize("system,k", [
+    ("heis_am", 3), ("ex5_am", 2), ("doubling", 3), ("cat_map", 3),
+    ("filiform3", 2), ("filiform4", 1),
+])
+def test_levels_match_scalar_oracle(request, system, k):
+    am = request.getfixturevalue(system)
+    levels = assert_matches_oracle(am, generic_base(am, 71), k)
+    assert all(level.dtype is np.int64 for level in levels)
+
+
+def test_step4_second_level_counts_and_maps_forward(filiform4):
+    x = generic_base(filiform4, 71)
+    cosets = coset_representatives(filiform4)
+    prev = set(preimages(filiform4, x, 1, cosets))
+    fib = preimages(filiform4, x, 2, cosets)
+    assert len(fib) == len(set(fib)) == 128 ** 2
+    rng = np.random.default_rng(5)
+    for i in rng.choice(len(fib), size=256, replace=False):
+        q, _ = reduce(filiform4.apply(fib[i].rep))
+        assert q in prev
+
+
+def test_overflowing_level_takes_python_ints(heis_am, heis):
+    p = 2 ** 31 - 1
+    t = [Fraction(1, p), Fraction(5, p), Fraction(p - 7, p)]
+    x = ManifoldPoint(from_second_kind(heis, t, exact=True))
+    levels = assert_matches_oracle(heis_am, x, 2)
+    assert levels[0].dtype is object
+
+
+def test_repeated_transversal_element_is_an_error(heis_am, heis_base):
+    cosets = coset_representatives(heis_am)
+    bad = CosetSystem(heis_am, [cosets.transversal[0]] * cosets.index,
+                      cosets.index, cosets.block_diagonals)
+    with pytest.raises(EndoError):
+        preimages(heis_am, heis_base, 1, cosets=bad)
