@@ -97,15 +97,6 @@ class Bump:
         phase = 2.0 * math.pi * (Th @ self.freqs.T)
         return (-2.0 * math.pi) * (np.sin(phase) * self.coeffs) @ self.freqs
 
-    @property
-    def sup_bound(self) -> float:
-        return float(np.sum(np.abs(self.coeffs)))
-
-    @property
-    def lipschitz_bound(self) -> float:
-        return 2.0 * math.pi * float(
-            np.sum(np.abs(self.coeffs) * np.linalg.norm(self.freqs, axis=1)))
-
     def directional_lipschitz(self, v_h) -> float:
         """Bound on sup |grad(phi) . v| for a direction with horizontal
         part v_h; exact because phi has horizontal frequencies only."""
@@ -259,12 +250,6 @@ def _coords(x, algebra: LieAlgebra) -> np.ndarray:
         raise ValueError("expected a point with %d coordinates"
                          % algebra.dim)
     return arr
-
-
-def lift_eval(F, x) -> GroupPoint:
-    """Evaluate the lift at one point, returned as a float group point."""
-    X = _coords(x, F.algebra)
-    return nilgroup.point(F.algebra, F.lift(X), exact=False)
 
 
 # ---------------------------------------------------------------------------

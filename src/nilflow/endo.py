@@ -89,15 +89,6 @@ def _validate(algebra: LieAlgebra, matrix: RatMatrix):
                     f"bracket not preserved on basis pair ({i + 1}, {j + 1})")
 
 
-def validate_automorphism(am: AutoMap) -> bool:
-    """Re-run the construction checks; True if psi is an automorphism."""
-    try:
-        _validate(am.algebra, am.matrix)
-        return True
-    except EndoError:
-        return False
-
-
 def preserves_lattice(am: AutoMap) -> bool:
     """Whether psi maps the lattice into itself.
 

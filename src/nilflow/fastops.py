@@ -7,7 +7,6 @@ scalar exact routines in liealg/nilgroup, in float64.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
@@ -116,10 +115,6 @@ class BatchOps:
             q = np.maximum(q, ns ** (1.0 / i))
         return q
 
-    def rho_pointwise(self, X, Y):
-        """rho between broadcast first-kind coordinate arrays."""
-        return self.quasi_norm(self.bch(Y, -X))
-
 
 def _translate_box(dims, radius):
     return [np.array(v, dtype=float)
@@ -130,15 +125,22 @@ class CoveringRadius:
     """max over a second-kind grid of min manifold distance to a point set.
 
     The grid is {0, 1/n, ..., (n-1)/n}^d.  Distances minimize rho over
-    lattice translates in the [-R, R]^d box.  For step <= 2 the deep
-    (central) translate components are optimized exactly per axis by
-    clamped rounding, so only horizontal translates are enumerated; for
-    step >= 3 the whole box is enumerated.  Large step-2 point sets with a
-    one-dimensional center are grouped into columns over their horizontal
-    locations, which shares the BCH work across each column.
-    """
+    lattice translates in the [-R, R]^d box, by one kernel per step:
 
-    PRUNE_THRESHOLD = 2.0e7
+    * step 1: the torus distance, each coordinate difference rounded;
+    * step 2: points are grouped into columns that share a horizontal
+      location.  The center of log(y gamma x^{-1}) is the center of y plus
+      an offset that depends only on the horizontal data, so one BCH
+      evaluation per (sample, location, horizontal translate) covers a whole
+      column, and the central translate is optimized exactly per axis by
+      clamped rounding.  When the center is one-dimensional and every column
+      is an arithmetic progression (as in preimage fibres) the best member
+      is one clamped round per column; otherwise every member is rounded;
+    * steps 3 and 4: the whole translate box is enumerated.
+
+    Samples are split into chunks whose arrays hold about 4e6 floats, and
+    chunks run on `threads` worker threads.
+    """
 
     def __init__(self, algebra: LieAlgebra, search_radius: int = 1,
                  threads: int = 1):
@@ -154,7 +156,6 @@ class CoveringRadius:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def __call__(self, points_sk: np.ndarray, grid_n: int) -> float:
-        points_sk = np.asarray(points_sk, dtype=float)
         samples = self.grid(grid_n)
         mins = self.min_dist_to_set(samples, points_sk)
         return float(np.max(mins))
@@ -163,29 +164,32 @@ class CoveringRadius:
 
     def min_dist_to_set(self, samples_sk: np.ndarray,
                         points_sk: np.ndarray) -> np.ndarray:
-        S, P = len(samples_sk), len(points_sk)
+        points_sk = np.asarray(points_sk, dtype=float)
         if self.alg.step == 1:
-            return self._run_chunked(self._abelian_chunk, samples_sk, points_sk)
-        if (self.alg.step == 2 and self.alg.layer_dims[1] == 1
-                and S * P > self.PRUNE_THRESHOLD):
-            return self._column_step2(samples_sk, points_sk)
-        return self._run_chunked(self._direct_chunk, samples_sk, points_sk)
+            return self._run_chunked(self._abelian_chunk, points_sk.size,
+                                     samples_sk, points_sk)
+        if self.alg.step == 2:
+            return self._run_chunked(*self._column_kernel(points_sk),
+                                     samples_sk)
+        return self._run_chunked(self._box_chunk, points_sk.size,
+                                 samples_sk, points_sk)
 
-    def _run_chunked(self, fn, samples_sk, points_sk):
+    def _run_chunked(self, fn, per_sample, samples_sk, *args):
+        """fn(chunk, *args) over sample chunks of 4e6 // per_sample rows,
+        per_sample being the floats fn allocates per sample."""
         S = len(samples_sk)
-        P = max(1, len(points_sk))
-        chunk = max(1, min(S, int(4e6 // P) + 1))
+        chunk = max(1, min(S, int(4e6 // max(1, per_sample))))
         spans = [(a, min(a + chunk, S)) for a in range(0, S, chunk)]
         out = np.empty(S)
         if self.threads > 1 and len(spans) > 1:
             with ThreadPoolExecutor(max_workers=self.threads) as ex:
-                futs = {ex.submit(fn, samples_sk[a:b], points_sk): (a, b)
+                futs = {ex.submit(fn, samples_sk[a:b], *args): (a, b)
                         for a, b in spans}
                 for fut, (a, b) in futs.items():
                     out[a:b] = fut.result()
         else:
             for a, b in spans:
-                out[a:b] = fn(samples_sk[a:b], points_sk)
+                out[a:b] = fn(samples_sk[a:b], *args)
         return out
 
     def _abelian_chunk(self, samples, points):
@@ -194,114 +198,91 @@ class CoveringRadius:
             diff -= np.round(diff)
         return np.sqrt(np.einsum("spk,spk->sp", diff, diff)).min(axis=1)
 
-    def _direct_chunk(self, samples, points):
-        """Full evaluation; translates per the step-aware strategy."""
+    def _box_chunk(self, samples, points):
         X = self.ops.from_second_kind(samples)
         Y = self.ops.from_second_kind(points)
         best = np.full((len(samples), len(points)), np.inf)
-        if self.alg.step == 2:
-            for W in self._pair_logs_step2(X, Y):
-                best = np.minimum(best, self._q_step2(W))
-        else:
-            box = _translate_box(self.alg.dim, self.R)
-            for n in box:
-                g = self.ops.from_second_kind(n)
-                Yg = self.ops.bch(Y, g)
-                W = self.ops.bch(Yg[None, :, :], -X[:, None, :])
-                best = np.minimum(best, self.ops.quasi_norm(W))
-        return best.min(axis=1)
-
-    def _pair_logs_step2(self, X, Y):
-        """Yield W = log(y gamma x^{-1}) with central translate optimized.
-
-        One W array per horizontal translate; central coordinates already
-        hold the best clamped integer offset.
-        """
-        d1 = self.alg.layer_dims[0]
-        central = self.alg.layer_slices[1]
-        for n1 in _translate_box(d1, self.R):
-            n_vec = np.zeros(self.alg.dim)
-            n_vec[:d1] = n1
-            g = self.ops.from_second_kind(n_vec)
+        for n in _translate_box(self.alg.dim, self.R):
+            g = self.ops.from_second_kind(n)
             Yg = self.ops.bch(Y, g)
             W = self.ops.bch(Yg[None, :, :], -X[:, None, :])
-            c = W[..., central]
-            n2 = np.clip(np.round(-c), -self.R, self.R)
-            W[..., central] = c + n2
-            yield W
+            best = np.minimum(best, self.ops.quasi_norm(W))
+        return best.min(axis=1)
 
-    def _q_step2(self, W):
-        h = W[..., self.alg.layer_slices[0]]
-        c = W[..., self.alg.layer_slices[1]]
-        qh = np.sqrt(np.einsum("...k,...k->...", h, h))
-        qc = np.einsum("...k,...k->...", c, c) ** 0.25
-        return np.maximum(qh, qc)
+    # -- step 2: columns over horizontal locations ---------------------------
 
-    # -- column evaluation for large step-2 systems --------------------------
-
-    def _column_step2(self, samples, points, chunk: int = 4096):
-        """Exact minimum over large step-2 point sets with a 1-dim center.
-
-        Points are grouped into columns sharing a horizontal location.
-        In step 2 the center coordinate of log(y gamma x^{-1}) is the
-        center coordinate of y plus an offset that depends only on the
-        horizontal data, so one BCH evaluation per (sample, location,
-        horizontal translate) covers the whole column; the best column
-        member is a sorted nearest-value lookup with the center translate
-        shifts folded in.
-        """
-        d1 = self.alg.layer_dims[0]
+    def _column_kernel(self, points):
+        """(chunk function, floats a chunk allocates per sample) for step 2."""
+        d, d1 = self.alg.dim, self.alg.layer_dims[0]
         hloc, inv = np.unique(points[:, :d1], axis=0, return_inverse=True)
         inv = np.ravel(inv)
         U = len(hloc)
-        order = np.argsort(inv, kind="stable")
-        bounds = np.searchsorted(inv[order], np.arange(U + 1))
-        cols = [np.sort(points[order[bounds[u]:bounds[u + 1]], -1])
-                for u in range(U)]
-        # preimage fibers have arithmetic-progression columns; nearest
-        # value is then one clamped round instead of a bisection
-        c0 = np.array([c[0] for c in cols])
-        lens = np.array([len(c) for c in cols])
-        steps = np.array([c[1] - c[0] if len(c) > 1 else 1.0 for c in cols])
-        uniform = all(
-            len(c) < 3 or np.ptp(np.diff(c)) <= 1e-12 for c in cols)
         Yloc = self.ops.from_second_kind(
-            np.concatenate([hloc, np.zeros((U, self.alg.dim - d1))], axis=1))
-        S = len(samples)
-        out = np.empty(S)
-        shifts = range(-self.R, self.R + 1)
-        for a in range(0, S, chunk):
-            b = min(a + chunk, S)
-            X = self.ops.from_second_kind(samples[a:b])
-            best = np.full(b - a, np.inf)
-            for n1 in _translate_box(d1, self.R):
-                n_vec = np.zeros(self.alg.dim)
-                n_vec[:d1] = n1
-                g = self.ops.from_second_kind(n_vec)
-                Yg = self.ops.bch(Yloc, g)
+            np.concatenate([hloc, np.zeros((U, d - d1))], axis=1))
+        Ygs = []
+        for n1 in _translate_box(d1, self.R):
+            n_vec = np.zeros(d)
+            n_vec[:d1] = n1
+            Ygs.append(self.ops.bch(Yloc, self.ops.from_second_kind(n_vec)))
+        center = points[:, d1:]
+        lookup = self._progression_lookup(center, inv, U)
+        per_sample = U * d
+        if lookup is None:
+            lookup = self._member_lookup(center, inv)
+            per_sample += center.size
+
+        def chunk(samples):
+            X = self.ops.from_second_kind(samples)
+            best = np.full(len(samples), np.inf)
+            for Yg in Ygs:
                 W0 = self.ops.bch(Yg[None, :, :], -X[:, None, :])
                 h = W0[..., :d1]
                 qh = np.sqrt(np.einsum("suk,suk->su", h, h))
-                q = -W0[..., -1]          # want column value closest to this
-                cent = np.full(q.shape, np.inf)
-                if uniform:
-                    for s in shifts:
-                        k = np.clip(np.round((q - s - c0) / steps), 0, lens - 1)
-                        cand = c0 + k * steps + s
-                        cent = np.minimum(cent, np.abs(cand - q))
-                else:
-                    for u in range(U):
-                        col, qu = cols[u], q[:, u]
-                        du = np.full(len(qu), np.inf)
-                        for s in shifts:
-                            pos = np.searchsorted(col, qu - s)
-                            for p in (pos - 1, pos):
-                                pc = np.clip(p, 0, len(col) - 1)
-                                du = np.minimum(du, np.abs(col[pc] + s - qu))
-                        cent[:, u] = du
-                best = np.minimum(best, np.maximum(qh, np.sqrt(cent)).min(axis=1))
-            out[a:b] = best
-        return out
+                # the best member's center is the one closest to -W0's
+                best = np.minimum(best, lookup(qh, -W0[..., d1:]))
+            return best
+
+        return chunk, per_sample
+
+    def _progression_lookup(self, center, inv, U):
+        """Best-member lookup for a 1-dim center whose columns are all
+        arithmetic progressions, or None: nearest value is then one clamped
+        round per column and central translate."""
+        if center.shape[1] != 1:
+            return None
+        order = np.argsort(inv, kind="stable")
+        bounds = np.searchsorted(inv[order], np.arange(U + 1))
+        cols = [np.sort(center[order[bounds[u]:bounds[u + 1]], 0])
+                for u in range(U)]
+        if not all(len(c) < 3 or np.ptp(np.diff(c)) <= 1e-12 for c in cols):
+            return None
+        c0 = np.array([c[0] for c in cols])
+        lens = np.array([len(c) for c in cols])
+        steps = np.array([c[1] - c[0] if len(c) > 1 else 1.0 for c in cols])
+        shifts = range(-self.R, self.R + 1)
+
+        def lookup(qh, q):
+            q = q[..., 0]
+            cent = np.full(q.shape, np.inf)
+            for s in shifts:
+                k = np.clip(np.round((q - s - c0) / steps), 0, lens - 1)
+                cand = c0 + k * steps + s
+                cent = np.minimum(cent, np.abs(cand - q))
+            return np.maximum(qh, np.sqrt(cent)).min(axis=1)
+
+        return lookup
+
+    def _member_lookup(self, center, inv):
+        """Best-member lookup over every member: per central axis, the
+        clamped nearest central translate."""
+
+        def lookup(qh, q):
+            c = center[None, :, :] - q[:, inv, :]
+            c += np.clip(np.round(-c), -self.R, self.R)
+            qc = np.einsum("spk,spk->sp", c, c) ** 0.25
+            return np.maximum(qh[:, inv], qc).min(axis=1)
+
+        return lookup
 
 
 def default_grid_n(dim: int, cap_samples: int = 10**6, preferred: int = 33) -> int:

@@ -222,10 +222,6 @@ class LieAlgebra:
             return tuple(Fraction(0) for _ in range(self.dim))
         return np.zeros(self.dim)
 
-    def lower_central_series(self) -> list[tuple]:
-        """Bases (reduced echelon form) of n_1 >= n_2 >= ... >= n_s."""
-        return [list(b) for b in self._series]
-
     # -- quasi-norm -------------------------------------------------------
 
     def default_complements(self) -> list[list[tuple]]:

@@ -1,5 +1,6 @@
 """Preimage fibers, covering radii, and the density budget."""
 
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -13,15 +14,18 @@ from nilflow.density import (
     coset_representatives,
     covering_radius,
     density_experiment,
+    points_to_second_kind_array,
     preimages,
 )
 from nilflow.endo import AutoMap, EndoError
+from nilflow.fastops import CoveringRadius
 from nilflow.liealg import from_sparse_triples
 from nilflow.nilgroup import (
     GroupPoint,
     ManifoldPoint,
     from_second_kind,
     identity,
+    manifold_dist,
     mul,
     point,
     reduce,
@@ -212,3 +216,78 @@ def test_repeated_transversal_element_is_an_error(heis_am, heis_base):
                       cosets.index, cosets.block_diagonals)
     with pytest.raises(EndoError):
         preimages(heis_am, heis_base, 1, cosets=bad)
+
+
+# -- covering-radius kernels against the scalar manifold distance --------------
+
+def fibre_sk(am, k, seed=71):
+    return points_to_second_kind_array(preimages(am, generic_base(am, seed), k))
+
+
+def drop_inner_member(points):
+    """The set without the second-lowest center of the first column, whose
+    centers then no longer form an arithmetic progression."""
+    col = np.flatnonzero((points[:, :2] == points[0, :2]).all(axis=1))
+    col = col[np.argsort(points[col, 2])]
+    assert len(col) >= 3
+    return np.delete(points, col[1], axis=0)
+
+
+def oracle_min_dists(algebra, samples, points):
+    """Per sample, the minimum of the scalar manifold_dist over the points."""
+    def mp(t):
+        return ManifoldPoint(from_second_kind(algebra, t, exact=False))
+    pts = [mp(p) for p in points]
+    return np.array([min(manifold_dist(mp(x), y) for y in pts)
+                     for x in samples])
+
+
+@pytest.mark.parametrize("system,k,grid_n,thin", [
+    ("doubling", 2, 4, False),     # step 1
+    ("heis_am", 1, 3, False),      # step 2, arithmetic-progression columns
+    ("heis_am", 1, 3, True),       # step 2, an uneven 1-dim column
+    ("ex5_am", 1, 2, False),       # step 2, 2-dim center
+    ("filiform3", 1, 2, False),    # step 3, translate box
+])
+def test_min_dist_matches_manifold_dist(request, system, k, grid_n, thin):
+    am = request.getfixturevalue(system)
+    points = fibre_sk(am, k)
+    if thin:
+        points = drop_inner_member(points)
+    cr = CoveringRadius(am.algebra)
+    samples = cr.grid(grid_n)
+    got = cr.min_dist_to_set(samples, points)
+    want = oracle_min_dists(am.algebra, samples, points)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_uneven_column_takes_the_member_lookup(heis_am):
+    points = fibre_sk(heis_am, 1)
+    cr = CoveringRadius(heis_am.algebra)
+    for pts, even in ((points, True), (drop_inner_member(points), False)):
+        hloc, inv = np.unique(pts[:, :2], axis=0, return_inverse=True)
+        lookup = cr._progression_lookup(pts[:, 2:], np.ravel(inv), len(hloc))
+        assert (lookup is not None) == even
+
+
+@pytest.mark.parametrize("system,k,grid_n", [
+    ("heis_am", 3, 28),   # arithmetic-progression columns
+    ("ex5_am", 2, 8),     # 2-dim center
+])
+def test_threads_give_bitwise_equal_distances(monkeypatch, request,
+                                              system, k, grid_n):
+    am = request.getfixturevalue(system)
+    points = fibre_sk(am, k)
+    samples = CoveringRadius(am.algebra).grid(grid_n)
+    one = CoveringRadius(am.algebra, threads=1).min_dist_to_set(samples, points)
+    chunks = []
+
+    class Pool(ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            chunks.append(len(args[0]))
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr("nilflow.fastops.ThreadPoolExecutor", Pool)
+    two = CoveringRadius(am.algebra, threads=2).min_dist_to_set(samples, points)
+    assert len(chunks) >= 2 and sum(chunks) == len(samples)
+    assert two.tobytes() == one.tobytes()
