@@ -424,6 +424,8 @@ def cmd_density(defn: SystemDefinition, k_max=None, grid_n=None,
     """
     if k_max is None:
         k_max = defn.param("k_max", 4)
+    if k_max < 2:
+        raise UsageError(f"k_max must be at least 2 to fit a rate, got {k_max}")
     if grid_n is None:
         grid_n = defn.param("grid_n")
     if base is None:

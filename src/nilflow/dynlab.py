@@ -76,16 +76,8 @@ class Bump:
     def scaled(self, total: float) -> "Bump":
         """Copy with coefficients rescaled so that sum |c_i| = total."""
         norm = float(np.sum(np.abs(self.coeffs)))
-        if norm == 0.0 or total == 0.0:
-            return Bump.__new__(Bump)._init_raw(self.freqs, 0.0 * self.coeffs)
-        return Bump.__new__(Bump)._init_raw(self.freqs,
-                                            self.coeffs * (total / norm))
-
-    def _init_raw(self, freqs, coeffs):
-        self.freqs = freqs
-        self.coeffs = coeffs
-        self.d1 = freqs.shape[1]
-        return self
+        factor = total / norm if norm else 0.0
+        return Bump(zip(self.freqs, self.coeffs * factor), self.d1)
 
     def __call__(self, Th):
         Th = np.asarray(Th, dtype=float)
@@ -188,6 +180,14 @@ class PerturbedMap:
         phi = self.bump(X[..., :self.d1])
         return self.ops.bch(phi[..., None] * self.direction, Y)
 
+    def tangent(self, X):
+        """(lift(X), D lift(X)), the Jacobians in closed form."""
+        X = np.asarray(X, dtype=float)
+        d = X.shape[-1]
+        Y, dY = _shear_tangent(self, X, X @ self.psi_T,
+                               np.broadcast_to(self.psi_T, X.shape + (d,)))
+        return Y, np.swapaxes(dY, -1, -2)
+
 
 class ConjugatedMap:
     """Positive control F = G o Psi o G^{-1} for the explicit diffeomorphism
@@ -239,6 +239,27 @@ class ConjugatedMap:
         Z = self.g_invert(X)
         return self.g_apply(Z @ self.psi_T)
 
+    def tangent(self, X):
+        """(lift(X), D lift(X)) with D lift(X) = DG(Psi Z) Psi DG(Z)^-1 at
+        Z = G^-1(X): one inversion and one batched solve."""
+        Z = self.g_invert(X)
+        W = Z @ self.psi_T
+        eye = np.broadcast_to(np.eye(Z.shape[-1]), Z.shape + Z.shape[-1:])
+        _, dGZ = _shear_tangent(self, Z, Z, eye)
+        Y, dGW = _shear_tangent(self, W, W, eye)
+        # tangent rows are transposed Jacobians: D lift^T = DG(Z)^-T Psi^T DG(W)^T
+        return Y, np.swapaxes(np.linalg.solve(dGZ, self.psi_T @ dGW), -1, -2)
+
+
+def _shear_tangent(obj, X, Y, dY):
+    """bch(phi(x_h) v, Y) and its tangent rows, row j the derivative along
+    the j-th coordinate of X, given the tangent rows dY of Y."""
+    Xh = X[..., :obj.d1]
+    dV = np.zeros(dY.shape)
+    dV[..., :obj.d1, :] = obj.bump.gradient(Xh)[..., None] * obj.direction
+    return obj.ops.bch_tangent(obj.bump(Xh)[..., None] * obj.direction, dV,
+                               Y, dY)
+
 
 def _coords(x, algebra: LieAlgebra) -> np.ndarray:
     if isinstance(x, ManifoldPoint):
@@ -256,50 +277,27 @@ def _coords(x, algebra: LieAlgebra) -> np.ndarray:
 # differentials
 # ---------------------------------------------------------------------------
 
-def _map_jacobian(fn, X, step: float = 1e-5, chunk: int = 200_000,
-                  payload=None):
-    """Batched Jacobian of fn: (N, d) -> (N, d) by the 4th-order central
-    stencil (the Richardson extrapolation of the 2nd-order difference, so
-    halving the step shrinks the error about 16x).
-
-    payload carries optional per-row constants: fn is then called as
-    fn(points, payload_rows) with the payload tiled to match the stencil.
-    """
-    X = np.asarray(X, dtype=float)
-    N, d = X.shape
-    if N * d > chunk:
-        out = np.empty((N, d, d))
-        rows = max(1, chunk // d)
-        for lo in range(0, N, rows):
-            hi = min(N, lo + rows)
-            pl = None if payload is None else payload[lo:hi]
-            out[lo:hi] = _map_jacobian(fn, X[lo:hi], step, chunk, pl)
-        return out
-    offs = np.array([-2.0, -1.0, 1.0, 2.0]) * step
-    eye = np.eye(d)
-    stacked = X[None, None] + offs[:, None, None, None] * eye[None, :, None, :]
-    flat = stacked.reshape(4 * d * N, d)
-    if payload is None:
-        vals = fn(flat)
-    else:
-        vals = fn(flat, np.tile(payload, (4 * d, 1)))
-    vals = vals.reshape(4, d, N, d)
-    deriv = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * step)
-    # deriv[j, n, i] = d f_i / d x_j; reorder to (n, i, j)
-    return np.moveaxis(deriv, 0, -1)
-
-
 def jacobian(F, x, step: float = 1e-5) -> np.ndarray:
-    """d x d derivative of the lift in first-kind coordinates."""
+    """d x d derivative of the lift in first-kind coordinates by the
+    4th-order central stencil (the Richardson extrapolation of the
+    2nd-order difference, so halving the step shrinks the error about
+    16x).  The maps' closed-form `tangent` is what the library uses; this
+    finite difference is its independent check."""
     if step <= 0 or 1.0 + step == 1.0:
         raise ValueError("finite-difference step underflow")
-    X = _coords(x, F.algebra)
-    return _map_jacobian(F.lift, X[None], step)[0]
+    x = _coords(x, F.algebra)
+    d = len(x)
+    offs = np.array([-2.0, -1.0, 1.0, 2.0]) * step
+    stencil = x + offs[:, None, None] * np.eye(d)
+    vals = F.lift(stencil.reshape(4 * d, d)).reshape(4, d, d)
+    deriv = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * step)
+    # deriv[j, i] = d f_i / d x_j
+    return deriv.T
 
 
 def _frame_transfer(F, X):
-    """Jacobians of F.lift at the batch X, conjugated into the
-    right-invariant frame: M = R(lift(X))^-1 . J . R(X).
+    """lift(X), and the Jacobians of F.lift at the batch X conjugated into
+    the right-invariant frame: M = R(lift(X))^-1 . J . R(X).
 
     Tangent vectors are measured by right-translating them back to the
     identity; in that frame right lattice translations act trivially, so
@@ -307,10 +305,10 @@ def _frame_transfer(F, X):
     contraction rates are those of the invariant metric.
     """
     ops = F.ops
-    J = _map_jacobian(F.lift, X)
+    Y, J = F.tangent(X)
     R0 = ops.right_translation_differential(X)
-    R1 = ops.right_translation_differential(F.lift(X))
-    return np.linalg.solve(R1, J @ R0)
+    R1 = ops.right_translation_differential(Y)
+    return Y, np.linalg.solve(R1, J @ R0)
 
 
 def stable_direction(F, x, n_iter: int = 30, tol: float = 1e-8,
@@ -331,7 +329,7 @@ def stable_direction(F, x, n_iter: int = 30, tol: float = 1e-8,
     orbit[0] = ops.reduce(_coords(x, F.algebra))[0]
     for k in range(n_iter):
         orbit[k + 1] = ops.reduce(F.lift(orbit[k]))[0]
-    M = _frame_transfer(F, orbit[:-1])
+    _, M = _frame_transfer(F, orbit[:-1])
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(d)
     v /= np.linalg.norm(v)
@@ -441,8 +439,10 @@ def periodic_points(F, P: int, tol: float = 1e-10, max_newton: int = 25,
 
     Seeds come from the exact layered solve for the linear part; Newton
     then refines each seed on the lift equation F^P(x) * gamma^{-1} = x
-    with the seed's lattice word gamma held fixed.  Seeds whose Newton
-    iteration fails to reach tol are dropped with a warning.
+    with the seed's lattice word gamma held fixed, with the closed-form
+    Jacobian of the composition.  Raises ConvergenceError unless the
+    refined points are exactly the Lefschetz count |det(Psi^P - I)| of
+    distinct points and the map permutes them.
     """
     if P < 1:
         raise ValueError("period must be >= 1")
@@ -465,65 +465,67 @@ def periodic_points(F, P: int, tol: float = 1e-10, max_newton: int = 25,
             Z = F.lift(Z)
         return ops.bch(Z, gwi)
 
-    r = compose(X, gw_inv) - X
-    rn = np.max(np.abs(r), axis=1)
+    def compose_tangent(Z, gwi):
+        """compose and its Jacobian, by the chain rule through the lifts."""
+        J = np.eye(d)
+        for _ in range(P):
+            Z, Jk = F.tangent(Z)
+            J = Jk @ J
+        Y, dY = ops.bch_tangent(Z, np.swapaxes(J, -1, -2), gwi,
+                                np.zeros_like(J))
+        return Y, np.swapaxes(dY, -1, -2)
+
+    rn = np.max(np.abs(compose(X, gw_inv) - X), axis=1)
     eye = np.eye(d)
     for _ in range(max_newton):
         active = rn > tol
         if not active.any():
             break
         Xa, ga = X[active], gw_inv[active]
-        J = _map_jacobian(compose, Xa, payload=ga)
-        ra = compose(Xa, ga) - Xa
+        Ya, J = compose_tangent(Xa, ga)
         # [..., None]: 2-d right-hand sides are matrices to numpy, not stacks
-        delta = np.linalg.solve(J - eye, -ra[..., None])[..., 0]
+        delta = np.linalg.solve(J - eye, (Xa - Ya)[..., None])[..., 0]
         X[active] += delta
         r2 = compose(X[active], ga) - X[active]
         rn[active] = np.max(np.abs(r2), axis=1)
-    if (rn > tol).any():
-        bad = int((rn > tol).sum())
-        logger.warning("dropping %d of %d seeds: Newton residual above %g",
-                       bad, len(X), tol)
-        keep = rn <= tol
-        X, rn = X[keep], rn[keep]
 
     Xr, Tr, _ = ops.reduce(X)
     Tr = _snap_torus(Tr)
-    # dedup points that collapsed onto each other
-    _, uniq = np.unique(np.round(Tr, 8), axis=0, return_index=True)
-    if len(uniq) < len(Tr):
-        logger.warning("%d refined seeds collapsed onto duplicates",
-                       len(Tr) - len(uniq))
-        uniq.sort()
-        Xr, Tr, rn = Xr[uniq], Tr[uniq], rn[uniq]
+    distinct = len(np.unique(np.round(Tr, 8), axis=0))
+    stalled = int((rn > tol).sum())
+    if stalled or distinct != expected:
+        raise ConvergenceError(
+            "found %d distinct points of period dividing %d, expected %d; "
+            "%d seeds stayed above the Newton tolerance %g"
+            % (distinct, P, expected, stalled, tol))
 
-    # successor structure of the quotient map on the periodic set
-    for _ in range(4):
-        Ty = _snap_torus(ops.reduce(F.lift(Xr))[1])
-        dist, succ = cKDTree(Tr).query(Ty)
-        good = dist <= 1e-6
-        if good.all():
-            break
-        logger.warning("dropping %d points whose image left the periodic "
-                       "set", int((~good).sum()))
-        Xr, Tr, rn = Xr[good], Tr[good], rn[good]
-    else:
-        raise ConvergenceError("periodic set failed to close under the map")
+    # successor structure of the quotient map on the periodic set, and
+    # the transfers along it in the right-invariant frame (reduction is
+    # invisible there)
+    Y, M = _frame_transfer(F, Xr)
+    dist, succ = cKDTree(Tr).query(_snap_torus(ops.reduce(Y)[1]))
+    # Newton leaves each point within a few tol of its orbit point, so
+    # an image farther than 100 tol from the set, or a point that two
+    # images hit, means the set is not the periodic set
+    far = int((dist > 100.0 * tol).sum())
+    hit_twice = int((np.bincount(succ, minlength=len(Tr)) > 1).sum())
+    if far or hit_twice:
+        raise ConvergenceError(
+            "periodic set failed to close under the map: %d images farther "
+            "than %g from the set, %d points hit twice"
+            % (far, 100.0 * tol, hit_twice))
 
-    if not len(Xr):
-        return []
-
-    # stable directions at every point by pullback through the cycle graph,
-    # in the right-invariant frame (reduction is invisible there)
-    M = _frame_transfer(F, Xr)
+    # stable directions at every point by pullback through the cycles
     rng = np.random.default_rng(20260815)
     v = rng.standard_normal(d)
     v = np.broadcast_to(v / np.linalg.norm(v), (len(Xr), d)).copy()
+    Minv = np.linalg.inv(M)
     for _ in range(n_pullback):
-        v = np.linalg.solve(M, v[succ][..., None])[..., 0]
+        v = np.einsum("nij,nj->ni", Minv, v[succ])
         v /= np.linalg.norm(v, axis=1, keepdims=True)
     contr = np.log(np.linalg.norm(np.einsum("nij,nj->ni", M, v), axis=1))
 
+    # succ is a permutation, so every walk returns to its start
     visited = np.zeros(len(Xr), dtype=bool)
     reports = []
     for i in range(len(Xr)):
@@ -532,13 +534,10 @@ def periodic_points(F, P: int, tol: float = 1e-10, max_newton: int = 25,
         cycle = [i]
         visited[i] = True
         j = int(succ[i])
-        while j != i and not visited[j]:
+        while j != i:
             visited[j] = True
             cycle.append(j)
             j = int(succ[j])
-        if j != i:
-            logger.warning("orbit through point %d did not close; skipped", i)
-            continue
         idx = np.array(cycle)
         reports.append(PeriodicOrbitReport(
             period=len(cycle),
@@ -606,12 +605,18 @@ class _EquivariantInterp:
         return np.einsum("qc,qcd->qd", self.weights, u[self.idx])
 
 
-def _su_split(ops: BatchOps, Ps, Pu, W, iters: int = 8):
+def _su_split(ops: BatchOps, Ps, Pu, W):
     """Group-level decomposition exp(W) = exp(S) exp(U) with S stable,
-    U unstable; fixed-point iteration on the BCH correction terms."""
+    U unstable; fixed-point iteration on the BCH correction terms.
+
+    The projectors are polynomials in Psi, so they preserve every term of
+    the lower central series, and the correction modulo gamma_{k+1}
+    depends only on S and U modulo gamma_k: each iteration makes one more
+    layer exact, and step - 1 iterations make the split exact.
+    """
     S = W @ Ps.T
     U = W @ Pu.T
-    for _ in range(iters):
+    for _ in range(ops.step - 1):
         C = ops.bch(S, U) - S - U
         S = (W - C) @ Ps.T
         U = (W - C) @ Pu.T

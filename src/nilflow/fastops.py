@@ -47,6 +47,32 @@ class BatchOps:
                 z = z - self.bracket(Y, self.bracket(X, b1)) / 24.0
         return z
 
+    def bch_tangent(self, X, dX, Y, dY):
+        """(bch(X, Y), its derivative), forward mode.
+
+        dX and dY are (..., m, d) stacks of m tangent vectors at X and Y;
+        the derivative is the matching (..., m, d) stack at bch(X, Y).  It
+        is exact, since the series terminates and the bracket is bilinear.
+        The value is computed by the same operations as bch, so it is
+        bitwise equal to bch(X, Y).
+        """
+        br = self.bracket
+        Xm, Ym = X[..., None, :], Y[..., None, :]
+        b1 = br(X, Y)
+        db1 = br(dX, Ym) + br(Xm, dY)
+        z = X + Y + 0.5 * b1
+        dz = dX + dY + 0.5 * db1
+        if self.step >= 3:
+            b1m = b1[..., None, :]
+            c = br(X, b1)
+            dc = br(dX, b1m) + br(Xm, db1)
+            z = z + (c - br(Y, b1)) / 12.0
+            dz = dz + (dc - br(dY, b1m) - br(Ym, db1)) / 12.0
+            if self.step >= 4:
+                z = z - br(Y, c) / 24.0
+                dz = dz - (br(dY, c[..., None, :]) + br(Ym, dc)) / 24.0
+        return z, dz
+
     def ad(self, X):
         """Batched ad_X matrices: (..., d, d) with (ad_X)[k, j] = [X, e_j]_k."""
         return np.einsum("...i,ijk->...kj", X, self.B)
@@ -68,7 +94,6 @@ class BatchOps:
         X = np.asarray(X, dtype=float)
         r = X.copy()
         t = np.empty_like(r)
-        e = np.zeros(self.d)
         for j in range(self.d):
             t[..., j] = r[..., j]
             ej = np.zeros(r.shape)

@@ -55,6 +55,26 @@ def cat_map(torus2):
     return AutoMap(torus2, RatMatrix([[2, 1], [1, 1]]))
 
 
+def filiform(step):
+    """[X1, Xj] = X(j+1) for j = 2..step, with psi = diag(2, -1, -2, -4, ...):
+    index 2 * 2 * 4 = 16 at step 3, 16 * 8 = 128 at step 4."""
+    d = step + 1
+    alg = from_sparse_triples(d, [(1, j, j + 1, 1) for j in range(2, d)])
+    diag = [2, -1] + [-(2 ** j) for j in range(1, d - 1)]
+    rows = [[diag[i] if i == j else 0 for j in range(d)] for i in range(d)]
+    return AutoMap(alg, RatMatrix(rows))
+
+
+@pytest.fixture(scope="session")
+def filiform3():
+    return filiform(3)
+
+
+@pytest.fixture(scope="session")
+def filiform4():
+    return filiform(4)
+
+
 def rand_rationals(rng, n, span=6, max_den=8):
     """n exact rationals p/q with |p/q| <= span and q <= max_den."""
     dens = rng.integers(1, max_den + 1, size=n)

@@ -210,6 +210,14 @@ def test_main_nonconvergence_exit(tmp_path, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+def test_main_density_k_max_below_two(capsys):
+    rc = main(["density", str(fixture_path("heisenberg")), "--k-max", "1"])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "k_max must be at least 2" in err
+    assert "Traceback" not in err
+
+
 def test_main_density_csv(tmp_path, capsys):
     obj = {
         "name": "torus", "dimension": 2, "structure_constants": [],

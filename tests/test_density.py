@@ -17,9 +17,8 @@ from nilflow.density import (
     points_to_second_kind_array,
     preimages,
 )
-from nilflow.endo import AutoMap, EndoError
+from nilflow.endo import EndoError
 from nilflow.fastops import CoveringRadius
-from nilflow.liealg import from_sparse_triples
 from nilflow.nilgroup import (
     GroupPoint,
     ManifoldPoint,
@@ -30,7 +29,6 @@ from nilflow.nilgroup import (
     point,
     reduce,
 )
-from nilflow.ratcore import RatMatrix
 from tests.conftest import rand_rationals
 
 
@@ -153,26 +151,6 @@ def assert_matches_oracle(am, x, k):
         assert level.floats().tobytes() == floats.tobytes()
     assert preimages(am, x, k, cosets) == want[-1]
     return got
-
-
-def filiform(step):
-    """[X1, Xj] = X(j+1) for j = 2..step, with psi = diag(2, -1, -2, -4, ...):
-    index 2 * 2 * 4 = 16 at step 3, 16 * 8 = 128 at step 4."""
-    d = step + 1
-    alg = from_sparse_triples(d, [(1, j, j + 1, 1) for j in range(2, d)])
-    diag = [2, -1] + [-(2 ** j) for j in range(1, d - 1)]
-    rows = [[diag[i] if i == j else 0 for j in range(d)] for i in range(d)]
-    return AutoMap(alg, RatMatrix(rows))
-
-
-@pytest.fixture(scope="module")
-def filiform3():
-    return filiform(3)
-
-
-@pytest.fixture(scope="module")
-def filiform4():
-    return filiform(4)
 
 
 def generic_base(am, seed):

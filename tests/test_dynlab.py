@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from nilflow.cli import fixture_path, parse_system
 from nilflow.dynlab import (
     Bump,
     ConjugatedMap,
     ConvergenceError,
     PerturbedMap,
+    _su_split,
     jacobian,
     orbits_to_csv,
     periodic_points,
@@ -113,6 +115,62 @@ def test_jacobian_step_validation(heis_am):
         jacobian(F, np.zeros(3), step=0.0)
 
 
+@pytest.mark.parametrize("system", [
+    "torus2", "heis", "ex5", "filiform3", "filiform4"])
+def test_bch_tangent_matches_central_difference(request, system):
+    alg = request.getfixturevalue(system)
+    alg = getattr(alg, "algebra", alg)
+    ops = BatchOps(alg)
+    rng = np.random.default_rng(17)
+    X, Y = rng.uniform(-1, 1, size=(2, 20, alg.dim))
+    dX, dY = rng.uniform(-1, 1, size=(2, 20, 4, alg.dim))
+    Z, dZ = ops.bch_tangent(X, dX, Y, dY)
+    assert Z.tobytes() == ops.bch(X, Y).tobytes()
+    h = 1e-5
+    fwd = ops.bch(X[:, None] + h * dX, Y[:, None] + h * dY)
+    bwd = ops.bch(X[:, None] - h * dX, Y[:, None] - h * dY)
+    assert np.allclose(dZ, (fwd - bwd) / (2 * h), rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("system", ["heis_am", "ex5_am"])
+@pytest.mark.parametrize("cls", [PerturbedMap, ConjugatedMap])
+def test_tangent_matches_stencil_jacobian(request, system, cls):
+    F = cls(request.getfixturevalue(system), amplitude=0.05)
+    rng = np.random.default_rng(19)
+    X = rng.uniform(-1.5, 1.5, size=(6, F.algebra.dim))
+    Y, J = F.tangent(X)
+    assert np.allclose(Y, F.lift(X), rtol=0, atol=1e-14)
+    for x, Jx in zip(X, J):
+        assert np.allclose(Jx, jacobian(F, x), rtol=0, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# su split
+
+
+def su_cases(heis_am, filiform3, filiform4):
+    F = PerturbedMap(heis_am)
+    B = np.hstack([F.splitting.stable, F.splitting.unstable])
+    Bi = np.linalg.inv(B)
+    yield BatchOps(heis_am.algebra), B[:, :1] @ Bi[:1], B[:, 1:] @ Bi[1:]
+    # S along X1, U along the rest: here step - 2 iterations leave an
+    # error of order 0.1, so the iteration count is tight
+    for am in (filiform3, filiform4):
+        d = am.algebra.dim
+        Ps = np.diag(np.eye(d)[0])
+        yield BatchOps(am.algebra), Ps, np.eye(d) - Ps
+
+
+def test_su_split_is_exact(heis_am, filiform3, filiform4):
+    rng = np.random.default_rng(23)
+    for ops, Ps, Pu in su_cases(heis_am, filiform3, filiform4):
+        W = rng.uniform(-1, 1, size=(200, ops.d))
+        S, U = _su_split(ops, Ps, Pu, W)
+        assert np.allclose(S @ Ps.T, S, rtol=0, atol=1e-14)
+        assert np.allclose(U @ Pu.T, U, rtol=0, atol=1e-14)
+        assert np.allclose(ops.bch(S, U), W, rtol=0, atol=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # periodic orbits
 
@@ -146,6 +204,20 @@ def test_periodic_counts_persist_under_shear(heis_am):
     assert sum(r.period for r in reports) == 3
     # rigidity visibly broken: exponents leave the algebraic value
     assert all(abs(r.lambda_s - LAMBDA_S) > 1e-4 for r in reports)
+
+
+def test_fixture_tolerance_keeps_every_orbit():
+    defn = parse_system(fixture_path("heisenberg"))
+    tol = defn.param("tol")
+    assert tol == 1e-6
+    reports = periodic_points(defn.build_map(), 3, tol=tol)
+    assert sum(r.period for r in reports) == 4977
+
+
+def test_missing_points_are_an_error(heis_am):
+    with pytest.raises(ConvergenceError, match="expected 165"):
+        periodic_points(PerturbedMap(heis_am, amplitude=0.01), 2,
+                        max_newton=0)
 
 
 def test_orbit_csv_format(heis_am):
