@@ -28,6 +28,7 @@ from .dynlab import (
     RigidityReport,
     jacobian,
     orbits_to_csv,
+    periodic_orbits,
     periodic_points,
     rigidity_experiment,
     solve_conjugacy,
@@ -59,6 +60,7 @@ __all__ = [
     "is_totally_non_invertible",
     "jacobian",
     "orbits_to_csv",
+    "periodic_orbits",
     "periodic_points",
     "point",
     "preimages",

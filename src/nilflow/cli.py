@@ -32,7 +32,7 @@ from .dynlab import (
     ConvergenceError,
     PerturbedMap,
     orbits_to_csv,
-    periodic_points,
+    periodic_orbits,
     rigidity_experiment,
     solve_conjugacy,
 )
@@ -424,10 +424,11 @@ def cmd_density(defn: SystemDefinition, k_max=None, grid_n=None,
     """
     if k_max is None:
         k_max = defn.param("k_max", 4)
-    if k_max < 2:
-        raise UsageError(f"k_max must be at least 2 to fit a rate, got {k_max}")
+    _require(k_max >= 2, "k_max must be at least 2 to fit a rate", k_max)
     if grid_n is None:
         grid_n = defn.param("grid_n")
+    _require(grid_n is None or grid_n >= 2, "the grid must be at least 2",
+             grid_n)
     if base is None:
         base = ManifoldPoint(identity(defn.algebra))
     radius = defn.param("search_radius", 1)
@@ -435,28 +436,20 @@ def cmd_density(defn: SystemDefinition, k_max=None, grid_n=None,
                               search_radius=radius, threads=threads)
 
 
-def _collect_orbits(F, p_max: int, tol: float):
-    """All periodic orbits with period up to p_max, deduplicated (an orbit
-    of period q is found again at every multiple of q)."""
-    seen = set()
-    reports = []
-    for P in range(1, p_max + 1):
-        for rep in periodic_points(F, P, tol=tol):
-            key = min(map(tuple, np.round(rep.points, 6)))
-            if key in seen:
-                continue
-            seen.add(key)
-            reports.append(rep)
-    return reports
+def _require(ok: bool, what: str, value):
+    if not ok:
+        raise UsageError(f"{what}, got {value}")
 
 
 def cmd_dynamics(defn: SystemDefinition, experiment: str, *, p_max=None,
                  eps=None, grid_n=None, tol=None):
     """Run one of the dynamical experiments; returns (csv_text, summary)."""
+    if p_max is None:
+        p_max = defn.param("p_max", 3)
+    _require(p_max >= 1, "the period must be at least 1", p_max)
     if experiment == "periodic":
-        p_max = p_max if p_max is not None else defn.param("p_max", 3)
         F = defn.build_map()
-        reports = _collect_orbits(F, p_max, defn.param("tol", 1e-10))
+        reports = periodic_orbits(F, p_max, defn.param("tol", 1e-10))
         n_pts = sum(r.period for r in reports)
         summary = (f"{len(reports)} orbits, {n_pts} periodic points with "
                    f"period <= {p_max}")
@@ -465,7 +458,9 @@ def cmd_dynamics(defn: SystemDefinition, experiment: str, *, p_max=None,
     if experiment == "conjugacy":
         F = defn.build_map(amplitude=eps)
         grid = grid_n if grid_n is not None else defn.param("grid_n", 17)
+        _require(grid >= 2, "the grid must be at least 2", grid)
         tol = tol if tol is not None else defn.param("tol", 1e-6)
+        _require(tol > 0, "the tolerance must be positive", tol)
         max_iter = defn.param("max_iter", 500)
         fld = solve_conjugacy(F, grid_n=grid, tol=tol, max_iter=max_iter)
         summary = (f"converged in {len(fld.history)} sweeps, residual "
@@ -474,7 +469,6 @@ def cmd_dynamics(defn: SystemDefinition, experiment: str, *, p_max=None,
         return fld.to_csv(), summary
 
     if experiment == "rigidity":
-        p_max = p_max if p_max is not None else defn.param("p_max", 3)
         F = defn.build_map()
         rep = rigidity_experiment(F, p_max, tol=defn.param("tol", 1e-10))
         summary = (f"{len(rep.periods)} orbits, exponent spread "

@@ -5,6 +5,11 @@ Everything operates on the lift: points are first-kind coordinate arrays,
 and every map F here satisfies F(x*g) = F(x)*Psi(g) for lattice elements g,
 so orbits, stable directions, and displacement fields descend to the
 compact quotient.
+
+The one exact step is the seed of the periodic search: the
+|det(psi^P - I)| periodic points of the linear part, solved layer by
+layer on nilgroup.ExactBatch and converted to correctly rounded floats.
+Newton then refines them into the periodic points of the perturbed map.
 """
 
 from __future__ import annotations
@@ -13,12 +18,11 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .ratcore import RatMatrix, smith_normal_form
+from .ratcore import RatMatrix, block_residues
 from .liealg import LieAlgebra
 from . import nilgroup
 from .nilgroup import GroupPoint, ManifoldPoint
@@ -369,63 +373,49 @@ class PeriodicOrbitReport:
     residual: float
 
 
-def _residue_box(D_diag):
-    """All integer tuples in prod [0, D_ii)."""
-    return itertools.product(*[range(int(di)) for di in D_diag])
-
-
 def _psi_periodic_seeds(am: AutoMap, P: int):
     """Exact layered solve of Psi^P(x) = x * gamma on the quotient.
 
     Layer by layer the second-kind coordinates of x^{-1} Psi^P(x) are
     affine in the layer's own coordinates with integer matrix
-    psi_l^P - I (shallower layers only feed the constant term), so each
-    layer is an affine congruence solved through the Smith normal form.
+    M = psi_l^P - I; shallower layers only feed the constant term C.  The
+    layer's solutions are t = M^{-1}(r - C) mod 1 over a transversal r of
+    Z^n / M Z^n.  Each layer is one exact batch over every (partial seed,
+    residue) pair, seed-major and residue-minor.
     Returns (float array of second-kind seeds, exact solution count).
     """
     a = am.algebra
     amP = am.power(P)
-    blocks = induced_blocks(amP)
-    expected = 1
-    layer_data = []
-    for blk in blocks:
+    layers, expected = [], 1
+    for blk in induced_blocks(amP):
         M = blk - RatMatrix.identity(blk.n)
         det = M.det()
         if det == 0:
             raise DynlabError("automorphism power has eigenvalue 1 on a "
                               "layer; periodic points are not isolated")
-        U, D, V = smith_normal_form(M)
-        count = 1
-        for i in range(M.n):
-            count *= int(D[i, i])
-        expected *= count
-        hom = [V.matvec([Fraction(r_i, int(D[i, i]))
-                         for i, r_i in enumerate(r)])
-               for r in _residue_box([D[i, i] for i in range(M.n)])]
-        hom = [tuple(h % 1 for h in v) for v in hom]
-        layer_data.append((M.inverse(), hom))
+        expected *= abs(int(det))
+        residues, _ = block_residues(M)
+        layers.append((M.inverse().rows, nilgroup.exact_columns(residues),
+                       len(residues)))
 
-    d = a.dim
-    seeds = []
-    partial = [()]
-    for (sl, (Minv, hom)) in zip(a.layer_slices, layer_data):
-        new = []
-        for t_prev in partial:
-            t_full = t_prev + (Fraction(0),) * (d - len(t_prev))
-            xp = nilgroup.from_second_kind(a, t_full, exact=True)
-            yp = amP.apply(xp)
-            w = nilgroup.mul(nilgroup.inv(xp), yp)
-            c = nilgroup.to_second_kind(w)[sl.start:sl.stop]
-            t_part = Minv.matvec([-ci for ci in c])
-            for h in hom:
-                t_l = tuple((tp + hi) % 1 for tp, hi in zip(t_part, h))
-                new.append(t_prev + t_l)
-        partial = new
-    T = np.array([[float(c) for c in t] for t in partial])
-    if len(partial) != expected:
+    def solve(ops):
+        T, n = [None] * a.dim, 1
+        for sl, (Minv, R, m) in zip(a.layer_slices, layers):
+            X = ops.from_second_kind(T)
+            W = ops.bch(ops.neg(X), ops.matvec(amP.matrix.rows, X))
+            C = ops.to_second_kind(W)[sl]
+            rhs = [ops.add(r, c) for r, c in
+                   zip(ops.tile(ops.cast(R), n), ops.repeat(ops.neg(C), m))]
+            T = ops.repeat(T, m)
+            T[sl] = [ops.frac(t) for t in ops.matvec(Minv, rhs)]
+            n *= m
+        return T, n
+
+    (T, n), _ = nilgroup.exact_batch(a, solve)
+    if n != expected:
         raise DynlabError("layered periodic solve produced %d seeds, "
-                          "expected %d" % (len(partial), expected))
-    return T, expected
+                          "expected %d" % (n, expected))
+    return nilgroup.column_floats(T, n), expected
 
 
 def _snap_torus(T, tol=1e-9):
@@ -547,6 +537,15 @@ def periodic_points(F, P: int, tol: float = 1e-10, max_newton: int = 25,
         ))
     reports.sort(key=lambda rep: (rep.period, tuple(np.round(rep.points[0], 9))))
     return reports
+
+
+def periodic_orbits(F, P_max: int, tol: float = 1e-10):
+    """Every periodic orbit with prime period <= P_max, by period: the
+    orbits of prime period P that periodic_points(F, P) returns.  Each
+    call holds its full Lefschetz count, so an orbit of period q appears
+    once, from the call P = q."""
+    return [rep for P in range(1, P_max + 1)
+            for rep in periodic_points(F, P, tol=tol) if rep.period == P]
 
 
 def orbits_to_csv(reports, dim: int) -> str:
@@ -823,24 +822,13 @@ def rigidity_experiment(F, P_max: int = 3, tol: float = 1e-10,
         logger.warning("rigidity hypotheses fail (need a totally "
                        "non-invertible, horizontally irreducible linear "
                        "part); exponent spread is uncontrolled")
-    seen = {}
-    periods, exponents, residuals, reps = [], [], [], []
-    for P in range(1, P_max + 1):
-        for rep in periodic_points(F, P, tol=tol):
-            key = min(map(tuple, np.round(rep.points, 6)))
-            if key in seen:
-                continue
-            seen[key] = rep
-            periods.append(rep.period)
-            exponents.append(rep.lambda_s)
-            residuals.append(rep.residual)
-            reps.append(rep.points[0])
+    orbits = periodic_orbits(F, P_max, tol=tol)
     report = RigidityReport(
         algebraic_exponent=stable_exponent(am),
-        periods=periods,
-        exponents=exponents,
-        residuals=residuals,
-        representatives=np.array(reps),
+        periods=[rep.period for rep in orbits],
+        exponents=[rep.lambda_s for rep in orbits],
+        residuals=[rep.residual for rep in orbits],
+        representatives=np.array([rep.points[0] for rep in orbits]),
         hypotheses_ok=hypotheses_ok,
     )
     if isinstance(F, ConjugatedMap) and report.spread >= assert_tol:

@@ -224,56 +224,17 @@ class LieAlgebra:
 
     # -- quasi-norm -------------------------------------------------------
 
-    def default_complements(self) -> list[list[tuple]]:
-        """Layer complements spanned by the adapted basis blocks."""
-        out = []
-        for i in range(self.step):
-            sl = self.layer_slices[i]
-            out.append([self._basis_vec(j) for j in range(sl.start, sl.stop)])
-        return out
+    def quasi_norm_components(self, X):
+        """Squared norms of the layer blocks of X: Fractions when X is
+        exact, floats otherwise."""
+        if is_exact_vec(X):
+            return [sum(x * x for x in X[sl]) for sl in self.layer_slices]
+        Xf = as_float_vec(X)
+        return [float(np.dot(Xf[sl], Xf[sl])) for sl in self.layer_slices]
 
-    def _complement_projector(self, complements) -> np.ndarray:
-        """Rows: coordinates of X in the concatenated complement basis."""
-        cols = []
-        for i, basis in enumerate(complements):
-            if len(basis) != self.layer_dims[i]:
-                raise AlgebraError(
-                    f"complement {i + 1} has {len(basis)} vectors, expected "
-                    f"{self.layer_dims[i]}")
-            t_next = sum(self.layer_dims[i:])
-            lead = self.dim - t_next
-            for v in basis:
-                vv = as_exact_vec(v)
-                if any(vv[j] != 0 for j in range(lead)):
-                    raise AlgebraError(
-                        f"complement {i + 1} vector leaves n_{i + 1}")
-                cols.append(vv)
-        from .ratcore import RatMatrix
-        B = RatMatrix(list(map(list, zip(*cols))))
-        try:
-            Binv = B.inverse()
-        except ZeroDivisionError:
-            raise AlgebraError("complements do not split the algebra") from None
-        return Binv.to_float()
-
-    def quasi_norm_components(self, X, complements=None):
-        """Exact squared norms of the layer projections of X.
-
-        Returns a list of per-layer values ||p_i(X)||^2; Fractions when X
-        is exact and the default complements are used, floats otherwise.
-        """
-        if complements is None:
-            if is_exact_vec(X):
-                return [sum(x * x for x in X[sl]) for sl in self.layer_slices]
-            Xf = as_float_vec(X)
-            return [float(np.dot(Xf[sl], Xf[sl])) for sl in self.layer_slices]
-        P = self._complement_projector(complements)
-        y = P @ as_float_vec(X)
-        return [float(np.dot(y[sl], y[sl])) for sl in self.layer_slices]
-
-    def quasi_norm(self, X, complements=None) -> float:
+    def quasi_norm(self, X) -> float:
         """Homogeneous quasi-norm max_i ||p_i(X)||^(1/i)."""
-        comps = self.quasi_norm_components(X, complements)
+        comps = self.quasi_norm_components(X)
         return max(float(s) ** (0.5 / (i + 1)) for i, s in enumerate(comps))
 
 

@@ -11,8 +11,15 @@ and the fundamental domain of the quotient is the unit cube [0,1)^d in
 those coordinates.  A ManifoldPoint is the canonical (reduced)
 representative of a coset x * Gamma.
 
-The quasi-distance rho(x, y) = q(log(y x^-1)) is right-invariant; the
-manifold distance minimizes rho over lattice translates of one argument.
+ExactBatch runs the same exact group law on many points at once: each
+coordinate is an integer numerator array over one denominator, on int64
+with every result bound checked beforehand, and exact_batch recomputes a
+job on Python ints when a check trips.  It serves the preimage fibres,
+the coset check and the periodic seeds; the scalar functions here stay
+the reference it is tested against.
+
+manifold_dist minimizes the right-invariant quasi-distance
+q(log(y x^-1)) over lattice translates of one argument.
 """
 
 from __future__ import annotations
@@ -24,7 +31,17 @@ from itertools import product
 
 import numpy as np
 
-from .liealg import LieAlgebra, as_exact_vec, as_float_vec, is_exact_vec
+from .liealg import (
+    BCH_MAX_STEP,
+    HALF,
+    MINUS_24TH,
+    TWELFTH,
+    AlgebraError,
+    LieAlgebra,
+    as_exact_vec,
+    as_float_vec,
+    is_exact_vec,
+)
 
 
 @dataclass(frozen=True)
@@ -211,32 +228,243 @@ def reduce(x: GroupPoint) -> tuple[ManifoldPoint, GroupPoint]:
     return ManifoldPoint(cur, sk), gamma
 
 
-def log_right_difference(x: GroupPoint, y: GroupPoint):
-    """log(y * x^-1); exact for exact inputs."""
-    return y.algebra.bch(y.coords, inv(x).coords)
-
-
-def rho(x: GroupPoint, y: GroupPoint, complements=None) -> float:
-    """Right-invariant quasi-distance q(log(y x^-1))."""
-    return x.algebra.quasi_norm(log_right_difference(x, y), complements)
-
-
 def manifold_dist(p: ManifoldPoint, q: ManifoldPoint,
                   search_radius: int = 1) -> float:
-    """min over lattice translates gamma of rho(p_rep, q_rep * gamma).
+    """min over lattice translates gamma of q(log(q_rep gamma p_rep^-1)).
 
     The translate box is integer second-kind vectors in
     [-search_radius, search_radius]^d; radius 1 is enough for reduced
-    representatives.
+    representatives.  A scalar reference for the covering-radius kernels.
     """
     a = p.algebra
-    x = p.rep.to_float()
+    x_inv = -as_float_vec(p.rep.coords)
     y = q.rep.to_float()
     best = math.inf
     R = search_radius
     for n in product(range(-R, R + 1), repeat=a.dim):
         g = from_second_kind(a, np.asarray(n, dtype=float), exact=False)
-        cand = rho(x, mul(y, g))
+        cand = a.quasi_norm(a.bch(mul(y, g).coords, x_inv))
         if cand < best:
             best = cand
     return best
+
+
+# -- exact batches: integer numerator columns ---------------------------------
+
+_INT64_MAX = 2**63 - 1
+_FLOAT_EXACT = 2**53      # integers below this convert to float64 exactly
+
+
+class _Overflow(ArithmeticError):
+    """An int64 operation could leave the int64 range."""
+
+
+class ExactBatch:
+    """Exact group arithmetic on many points at once.
+
+    A batch of d-vectors is a list of d columns.  A column is None when it
+    is identically zero, else (num, den, bound): an integer array of
+    numerators over the one denominator den, and a bound on |num|.  The
+    arrays have dtype int64 or object (Python ints); on int64 every result
+    bound is checked against the int64 range before the operation runs and
+    _Overflow is raised instead of wrapping.  bch, matvec and reduce
+    return columns in lowest terms, so their results do not depend on the
+    dtype.
+    """
+
+    def __init__(self, algebra: LieAlgebra, dtype):
+        if algebra.step > BCH_MAX_STEP:
+            raise AlgebraError(f"bch supports nilpotency step <= {BCH_MAX_STEP}")
+        self.alg = algebra
+        self.d = algebra.dim
+        self.dtype = dtype
+        self.int64 = dtype is np.int64
+        self.triples = [(i, j, k, c) for (i, j, k), c in algebra.triples.items()]
+
+    def _check(self, *values):
+        if self.int64 and max(values) > _INT64_MAX:
+            raise _Overflow
+
+    def cast(self, cols: list) -> list:
+        out = []
+        for col in cols:
+            if col is not None:
+                num, den, bound = col
+                self._check(bound)
+                col = (num.astype(self.dtype), den, bound)
+            out.append(col)
+        return out
+
+    @staticmethod
+    def repeat(cols: list, m: int) -> list:
+        """Each row m times in a row: rows i*m .. i*m+m-1 are row i."""
+        return [None if c is None else (np.repeat(c[0], m), *c[1:]) for c in cols]
+
+    @staticmethod
+    def tile(cols: list, n: int) -> list:
+        """The whole batch n times over: row i*m + j is row j."""
+        return [None if c is None else (np.tile(c[0], n), *c[1:]) for c in cols]
+
+    # -- column arithmetic ---------------------------------------------------
+
+    def add(self, a, b):
+        if a is None:
+            return b
+        if b is None:
+            return a
+        (na, da, ba), (nb, db, bb) = a, b
+        if da == db:
+            self._check(ba + bb)
+            return (na + nb, da, ba + bb)
+        L = math.lcm(da, db)
+        sa, sb = L // da, L // db
+        bound = ba * sa + bb * sb
+        self._check(bound, sa, sb)
+        return (na * sa + nb * sb, L, bound)
+
+    def scale(self, a, q: Fraction):
+        if a is None or not q:
+            return None
+        num, den, bound = a
+        p = q.numerator
+        self._check(bound * abs(p), abs(p))
+        return (num * p, den * q.denominator, bound * abs(p))
+
+    def mul(self, a, b):
+        if a is None or b is None:
+            return None
+        (na, da, ba), (nb, db, bb) = a, b
+        self._check(ba * bb)
+        return (na * nb, da * db, ba * bb)
+
+    def normalise(self, a):
+        """Lowest common terms of a column; all-zero columns become None."""
+        if a is None:
+            return None
+        num, den, _ = a
+        bound = int(np.abs(num).max())
+        if bound == 0:
+            return None
+        g = math.gcd(int(np.gcd.reduce(num)), den) if den > 1 else 1
+        if g > 1:
+            num, den, bound = num // g, den // g, bound // g
+        return (num, den, bound)
+
+    def frac(self, a):
+        """Fractional part a - floor(a), in [0, 1)."""
+        if a is None:
+            return None
+        num, den, _ = a
+        self._check(den)
+        return self.normalise((num % den, den, None))
+
+    # -- group law -----------------------------------------------------------
+
+    def neg(self, X):
+        return [self.scale(x, Fraction(-1)) for x in X]
+
+    def bracket(self, X, Y):
+        out = [None] * self.d
+        for i, j, k, c in self.triples:
+            t = self.add(self.mul(X[i], Y[j]),
+                         self.scale(self.mul(X[j], Y[i]), Fraction(-1)))
+            out[k] = self.add(out[k], self.scale(t, c))
+        return out
+
+    def _axpy(self, z, b, q: Fraction):
+        return [self.add(zk, self.scale(bk, q)) for zk, bk in zip(z, b)]
+
+    def bch(self, X, Y):
+        """Columnwise LieAlgebra.bch, step <= 4."""
+        z = [self.add(x, y) for x, y in zip(X, Y)]
+        b1 = self.bracket(X, Y)
+        z = self._axpy(z, b1, HALF)
+        if self.alg.step >= 3:
+            xb = self.bracket(X, b1)
+            z = self._axpy(z, xb, TWELFTH)
+            z = self._axpy(z, self.bracket(Y, b1), -TWELFTH)
+            if self.alg.step >= 4:
+                z = self._axpy(z, self.bracket(Y, xb), MINUS_24TH)
+        return [self.normalise(c) for c in z]
+
+    def matvec(self, rows, X):
+        """Exact matrix (rows of Fractions) times each vector of the batch."""
+        out = []
+        for row in rows:
+            acc = None
+            for q, x in zip(row, X):
+                acc = self.add(acc, self.scale(x, q))
+            out.append(self.normalise(acc))
+        return out
+
+    def _axis(self, j, col):
+        e = [None] * self.d
+        e[j] = col
+        return e
+
+    def to_second_kind(self, X):
+        """Columnwise to_second_kind."""
+        r, t = X, []
+        for j in range(self.d):
+            t.append(r[j])
+            if r[j] is not None:
+                r = self.bch(self._axis(j, self.scale(r[j], Fraction(-1))), r)
+        return t
+
+    def from_second_kind(self, T):
+        r = [None] * self.d
+        for j, col in enumerate(T):
+            if col is not None:
+                r = self.bch(r, self._axis(j, col))
+        return r
+
+    def reduce(self, X):
+        """Columnwise reduce: first-kind coordinates of the representatives
+        and their second-kind coordinates in [0, 1)."""
+        cur, key = X, [None] * self.d
+        for sl in self.alg.layer_slices:
+            t = self.to_second_kind(cur)
+            word = [None] * self.d
+            for j in range(sl.start, sl.stop):
+                key[j] = self.frac(t[j])
+                if t[j] is not None:
+                    num, den, _ = t[j]
+                    word[j] = self.normalise((-(num // den), 1, None))
+            if any(w is not None for w in word):
+                cur = self.bch(cur, self.from_second_kind(word))
+        return cur, key
+
+
+def exact_batch(algebra: LieAlgebra, job):
+    """job(ops) on an int64 ExactBatch, rerun on Python ints if a bound
+    check trips; returns (job's result, the dtype it ran on)."""
+    try:
+        return job(ExactBatch(algebra, np.int64)), np.int64
+    except _Overflow:
+        return job(ExactBatch(algebra, object)), object
+
+
+def exact_columns(vectors: list) -> list:
+    """Vectors of Fractions or ints as the columns of one batch (object
+    dtype)."""
+    cols = []
+    for vals in zip(*vectors):
+        den = math.lcm(*(v.denominator for v in vals))
+        num = np.array([v.numerator * (den // v.denominator) for v in vals],
+                       dtype=object)
+        bound = int(np.abs(num).max())
+        cols.append((num, den, bound) if bound else None)
+    return cols
+
+
+def column_floats(cols: list, n: int) -> np.ndarray:
+    """The n rows of a batch as floats, each entry correctly rounded."""
+    out = np.zeros((n, len(cols)))
+    for j, col in enumerate(cols):
+        if col is None:
+            continue
+        num, den, bound = col
+        if max(bound, den) >= _FLOAT_EXACT:
+            num = num.astype(object)   # Python int division rounds once
+        out[:, j] = num / den
+    return out

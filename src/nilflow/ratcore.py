@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -452,6 +453,24 @@ def smith_normal_form(m: RatMatrix) -> tuple[RatMatrix, RatMatrix, RatMatrix]:
             a[t] = [-x for x in a[t]]
             U[t] = [-x for x in U[t]]
     return RatMatrix(U), RatMatrix(a), RatMatrix(V)
+
+
+def block_residues(m: RatMatrix) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Transversal of Z^n / m Z^n for a nonsingular integer matrix m, and
+    the Smith normal form diagonal.
+
+    With U m V = D, x ~ y iff Ux = Uy mod D, so U^{-1} {0..d_i-1}^n is a
+    transversal of |det m| integer vectors, listed in itertools.product
+    order of the residues.
+    """
+    U, D, _ = smith_normal_form(m)
+    diag = [int(D[i, i]) for i in range(m.n)]
+    if 0 in diag:
+        raise ValueError("singular matrix has no finite coset transversal")
+    Uinv = U.inverse()
+    reps = [tuple(int(x) for x in Uinv.matvec(r))
+            for r in product(*map(range, diag))]
+    return reps, diag
 
 
 def roots_numeric(p: RatPoly, tol: float = 1e-12, max_iter: int = 200) -> list[complex]:

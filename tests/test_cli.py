@@ -218,6 +218,34 @@ def test_main_density_k_max_below_two(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,experiment,message", [
+    (["density", "--grid", "0"], None, "grid must be at least 2"),
+    (["density", "--grid", "1", "--k-max", "2"], None, "grid must be at least 2"),
+    (["density"], {"grid_n": 1}, "grid must be at least 2"),
+    (["dynamics", "rigidity", "--period-max", "0"], None,
+     "period must be at least 1"),
+    (["dynamics", "periodic", "--period-max", "0"], None,
+     "period must be at least 1"),
+    (["dynamics", "conjugacy", "--tol", "0"], None, "tolerance must be positive"),
+    (["dynamics", "conjugacy", "--tol", "-1"], None, "tolerance must be positive"),
+    (["dynamics", "conjugacy", "--tol", "nan"], None, "tolerance must be positive"),
+    (["dynamics", "conjugacy", "--grid", "1"], None, "grid must be at least 2"),
+    (["dynamics", "conjugacy"], {"grid_n": 1}, "grid must be at least 2"),
+])
+def test_main_rejects_degenerate_settings(tmp_path, capsys, argv, experiment,
+                                          message):
+    obj = dict(GOOD, perturbation={"amplitude": 0.01})
+    if experiment:
+        obj["experiment"] = experiment
+    command, *rest = argv
+    rc = main([command, write(tmp_path, "h.json", obj), *rest])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert len(err.strip().splitlines()) == 1
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_main_density_csv(tmp_path, capsys):
     obj = {
         "name": "torus", "dimension": 2, "structure_constants": [],

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nilflow import density
 from nilflow.density import (
     BudgetError,
     CosetSystem,
@@ -194,6 +195,24 @@ def test_repeated_transversal_element_is_an_error(heis_am, heis_base):
                       cosets.index, cosets.block_diagonals)
     with pytest.raises(EndoError):
         preimages(heis_am, heis_base, 1, cosets=bad)
+
+
+def test_duplicated_transversal_element_is_found(monkeypatch, heis_am):
+    """Index 4,096: one central residue repeated makes 64 equivalent pairs
+    among 8.4 million, so the check must be complete, not sampled."""
+    am = heis_am.power(3)
+    residues = density.block_residues
+
+    def repeat_one(block):
+        reps, diag = residues(block)
+        if block.n == 1:
+            reps[-1] = reps[0]
+        return reps, diag
+
+    assert coset_representatives(am).index == 4096
+    monkeypatch.setattr(density, "block_residues", repeat_one)
+    with pytest.raises(EndoError, match="not a transversal"):
+        coset_representatives(am)
 
 
 # -- covering-radius kernels against the scalar manifold distance --------------

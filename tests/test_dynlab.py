@@ -1,6 +1,8 @@
 """Perturbed dynamics: bumps, periodic orbits, conjugacy, rigidity."""
 
 import math
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,15 +13,20 @@ from nilflow.dynlab import (
     ConjugatedMap,
     ConvergenceError,
     PerturbedMap,
+    _psi_periodic_seeds,
     _su_split,
     jacobian,
     orbits_to_csv,
+    periodic_orbits,
     periodic_points,
     rigidity_experiment,
     solve_conjugacy,
     stable_direction,
 )
+from nilflow.endo import induced_blocks
 from nilflow.fastops import BatchOps
+from nilflow.nilgroup import from_second_kind, inv, mul, to_second_kind
+from nilflow.ratcore import RatMatrix, smith_normal_form
 
 LAMBDA_S = math.log(3 - math.sqrt(5))
 PHI = (1 + math.sqrt(5)) / 2
@@ -173,6 +180,58 @@ def test_su_split_is_exact(heis_am, filiform3, filiform4):
 
 # ---------------------------------------------------------------------------
 # periodic orbits
+
+
+def oracle_seeds(am, P):
+    """The layered solve of Psi^P(x) = x * gamma, one partial seed at a time
+    in Fraction arithmetic: t = M^{-1}(-C) + V(r / D) mod 1 per residue r."""
+    a, amP, partial = am.algebra, am.power(P), [()]
+    for sl, blk in zip(a.layer_slices, induced_blocks(amP)):
+        M = blk - RatMatrix.identity(blk.n)
+        Minv, (U, D, V) = M.inverse(), smith_normal_form(M)
+        diag = [int(D[i, i]) for i in range(M.n)]
+        hom = [V.matvec([Fraction(r, di) for r, di in zip(rs, diag)])
+               for rs in product(*map(range, diag))]
+        new = []
+        for t in partial:
+            x = from_second_kind(a, t + (Fraction(0),) * (a.dim - len(t)))
+            c = to_second_kind(mul(inv(x), amP.apply(x)))[sl]
+            base = Minv.matvec([-ci for ci in c])
+            new += [t + tuple((b + h) % 1 for b, h in zip(base, hv)) for hv in hom]
+        partial = new
+    return np.array([[float(c) for c in t] for t in partial])
+
+
+@pytest.mark.parametrize("system,periods", [
+    ("heis_am", (1, 2, 3)), ("ex5_am", (1, 2, 3)),
+    ("filiform3", (1, 3)), ("filiform4", (1,)),
+])
+def test_periodic_seeds_match_scalar_oracle(request, system, periods):
+    am = request.getfixturevalue(system)
+    for P in periods:
+        T, expected = _psi_periodic_seeds(am, P)
+        want = oracle_seeds(am, P)
+        assert len(T) == expected == len(want)
+        assert T.tobytes() == want.tobytes()
+
+
+def test_step4_period3_seed_count(filiform4):
+    # |det(psi_l^3 - I)| per layer: 14 * 9 * 65 * 513, too many seeds for
+    # the scalar oracle
+    T, expected = _psi_periodic_seeds(filiform4, 3)
+    assert T.shape == (expected, 5) and expected == 4_201_470
+    assert T.min() >= 0 and T.max() < 1
+
+
+def test_periodic_orbits_once_each_by_prime_period(heis_am):
+    F = PerturbedMap(heis_am, amplitude=0.01)
+    orbits = periodic_orbits(F, 3, tol=1e-10)
+    # Lefschetz counts 3, 165, 4977: 3 fixed points, 81 orbits of
+    # period 2, 1658 of period 3
+    assert [sum(r.period == P for r in orbits) for P in (1, 2, 3)] == [3, 81, 1658]
+    assert [r.period for r in orbits] == sorted(r.period for r in orbits)
+    starts = {tuple(np.round(p, 6)) for r in orbits for p in r.points}
+    assert len(starts) == sum(r.period for r in orbits)
 
 
 def test_fixed_points_unperturbed(heis_am):

@@ -110,15 +110,16 @@ def test_bch_group_law_exact(heis):
         assert z == expected
 
 
-def test_bch_floats_match_exact(ex5):
+def test_bch_floats_match_exact(ex5, filiform3, filiform4):
     rng = np.random.default_rng(37)
-    for _ in range(20):
-        x = rand_rationals(rng, 5)
-        y = rand_rationals(rng, 5)
-        exact = np.array([float(c) for c in ex5.bch(x, y)])
-        approx = ex5.bch(np.array([float(c) for c in x]),
-                         np.array([float(c) for c in y]))
-        assert np.allclose(exact, approx, atol=1e-12)
+    for g in (ex5, filiform3.algebra, filiform4.algebra):
+        for _ in range(20):
+            x = rand_rationals(rng, g.dim)
+            y = rand_rationals(rng, g.dim)
+            exact = np.array([float(c) for c in g.bch(x, y)])
+            approx = g.bch(np.array([float(c) for c in x]),
+                           np.array([float(c) for c in y]))
+            assert np.allclose(exact, approx, rtol=1e-14, atol=1e-12)
 
 
 def test_quasi_norm_scaling(heis):

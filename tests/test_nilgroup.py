@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from nilflow.nilgroup import (
+    ExactBatch,
     GroupPoint,
     ManifoldPoint,
+    exact_columns,
     from_second_kind,
     identity,
     in_lattice,
@@ -24,6 +26,12 @@ def rand_point(rng, algebra, span=6, max_den=8):
     return point(algebra, rand_rationals(rng, algebra.dim, span, max_den))
 
 
+@pytest.fixture(scope="module")
+def algebras(heis, ex5, filiform3, filiform4):
+    """Steps 2, 2, 3 and 4."""
+    return heis, ex5, filiform3.algebra, filiform4.algebra
+
+
 def test_identity_and_inverse_exact(heis, ex5):
     rng = np.random.default_rng(41)
     for g in (heis, ex5):
@@ -36,17 +44,17 @@ def test_identity_and_inverse_exact(heis, ex5):
             assert mul(inv(x), x).coords == e.coords
 
 
-def test_associativity_exact(heis, ex5):
+def test_associativity_exact(algebras):
     rng = np.random.default_rng(43)
-    for g in (heis, ex5):
+    for g in algebras:
         for _ in range(60):
             x, y, z = (rand_point(rng, g) for _ in range(3))
             assert mul(mul(x, y), z).coords == mul(x, mul(y, z)).coords
 
 
-def test_second_kind_round_trip(heis, ex5):
+def test_second_kind_round_trip(algebras):
     rng = np.random.default_rng(47)
-    for g in (heis, ex5):
+    for g in algebras:
         for _ in range(60):
             x = rand_point(rng, g)
             t = to_second_kind(x)
@@ -70,9 +78,9 @@ def test_lattice_membership(heis):
     assert in_lattice(inv(g))
 
 
-def test_reduce_range_and_witness(heis, ex5):
+def test_reduce_range_and_witness(algebras):
     rng = np.random.default_rng(53)
-    for g in (heis, ex5):
+    for g in algebras:
         for _ in range(60):
             x = rand_point(rng, g, span=8)
             r, gamma = reduce(x)
@@ -111,3 +119,32 @@ def test_float_points_supported(heis):
     assert not x.exact
     y = mul(x, inv(x))
     assert np.allclose(np.asarray(y.coords, dtype=float), 0.0)
+
+
+def batch_rows(cols, n):
+    """The rows of an ExactBatch as tuples of Fractions."""
+    return [tuple(Fraction(0) if c is None else Fraction(int(c[0][i]), c[1])
+                  for c in cols) for i in range(n)]
+
+
+@pytest.mark.parametrize("system", ["heis", "ex5", "filiform3", "filiform4"])
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_exact_batch_matches_scalar_group_law(request, system, dtype):
+    g = request.getfixturevalue(system)
+    g = getattr(g, "algebra", g)
+    rng = np.random.default_rng(79)
+    xs = [rand_point(rng, g, span=3, max_den=4) for _ in range(40)]
+    ys = [rand_point(rng, g, span=3, max_den=4) for _ in range(40)]
+    ops = ExactBatch(g, dtype)
+    X = ops.cast(exact_columns([x.coords for x in xs]))
+    Y = ops.cast(exact_columns([y.coords for y in ys]))
+    n = len(xs)
+    assert batch_rows(ops.bch(X, Y), n) == [mul(x, y).coords for x, y in zip(xs, ys)]
+    T = ops.to_second_kind(X)
+    assert batch_rows(T, n) == [to_second_kind(x) for x in xs]
+    assert batch_rows(ops.from_second_kind(T), n) == [x.coords for x in xs]
+    reduced = [reduce(x)[0] for x in xs]
+    rep, key = ops.reduce(X)
+    assert batch_rows(rep, n) == [r.rep.coords for r in reduced]
+    assert batch_rows(key, n) == [r.key() for r in reduced]
+
