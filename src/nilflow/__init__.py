@@ -23,6 +23,7 @@ from .dynlab import (
     ConjugatedMap,
     ConvergenceError,
     DynlabError,
+    HypothesisError,
     PerturbedMap,
     PeriodicOrbitReport,
     RigidityReport,
@@ -44,6 +45,7 @@ __all__ = [
     "DensityReport",
     "DynlabError",
     "GroupPoint",
+    "HypothesisError",
     "LieAlgebra",
     "ManifoldPoint",
     "PerturbedMap",

@@ -11,13 +11,17 @@ Subcommands:
 System definition files are JSON with exact rationals written as strings
 ("p/q" or "n"); see ``parse_system`` for the schema.  Exit codes: 0 on
 success, 1 on usage errors, 2 on parse or validation failures, 3 on
-numerical non-convergence.
+numerical non-convergence, 4 when the map fails a dynamics experiment's
+hypotheses (a linear part that is not hyperbolic, a perturbation beyond
+the Anosov budget, periodic points that are not isolated) or another of
+its checks.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,6 +34,7 @@ from .dynlab import (
     Bump,
     ConjugatedMap,
     ConvergenceError,
+    DynlabError,
     PerturbedMap,
     orbits_to_csv,
     periodic_orbits,
@@ -58,6 +63,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
+EXIT_HYPOTHESIS = 4
 
 _EXPERIMENT_KEYS = {"k_max", "grid_n", "p_max", "tol", "max_iter",
                     "search_radius"}
@@ -221,8 +227,8 @@ def _parse_perturbation(p, dim: int, d1: int) -> dict:
     if "amplitude" in p:
         v = p["amplitude"]
         _expect(isinstance(v, (int, float)) and not isinstance(v, bool)
-                and v >= 0, "perturbation.amplitude",
-                "a nonnegative number is required")
+                and math.isfinite(v) and v >= 0, "perturbation.amplitude",
+                "a finite nonnegative number is required")
         out["amplitude"] = float(v)
     if p.get("direction") is not None:
         v = p["direction"]
@@ -399,7 +405,8 @@ def cmd_analyze(defn: SystemDefinition, out) -> int:
     w(f"hyperbolic: {hyp_str}\n")
     w(f"totally non-invertible: {_yesno(is_totally_non_invertible(am))}\n")
     w(f"horizontally irreducible: {_yesno(is_horizontally_irreducible(am))}\n")
-    w(f"unstable subalgebra is an ideal: {_yesno(is_u_ideal(am))}\n")
+    u_ideal = _yesno(is_u_ideal(am)) if hyp else hyp_str
+    w(f"unstable subalgebra is an ideal: {u_ideal}\n")
 
     if not hyp:
         w("splitting: none (linear part is not hyperbolic)\n")
@@ -444,6 +451,8 @@ def _require(ok: bool, what: str, value):
 def cmd_dynamics(defn: SystemDefinition, experiment: str, *, p_max=None,
                  eps=None, grid_n=None, tol=None):
     """Run one of the dynamical experiments; returns (csv_text, summary)."""
+    _require(eps is None or (math.isfinite(eps) and eps >= 0),
+             "the amplitude must be finite and nonnegative", eps)
     if p_max is None:
         p_max = defn.param("p_max", 3)
     _require(p_max >= 1, "the period must be at least 1", p_max)
@@ -545,6 +554,8 @@ def main(argv=None) -> int:
         if args.command is None:
             raise UsageError("a command is required "
                              "(analyze, density, dynamics)")
+        _require(args.threads >= 1, "threads must be at least 1",
+                 args.threads)
         if args.seed is not None:
             np.random.seed(args.seed)
         defn = parse_system(args.file)
@@ -578,6 +589,9 @@ def main(argv=None) -> int:
     except ConvergenceError as e:
         print(f"nilflow: did not converge: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (DynlabError, IndeterminateModulusError) as e:
+        print(f"nilflow: {e}", file=sys.stderr)
+        return EXIT_HYPOTHESIS
 
 
 if __name__ == "__main__":

@@ -42,6 +42,12 @@ class ConvergenceError(DynlabError):
     """An iterative solve failed to reach its tolerance."""
 
 
+class HypothesisError(DynlabError, ValueError):
+    """The map is outside the perturbation families' hypotheses: its linear
+    part does not preserve the lattice, the perturbation exceeds the Anosov
+    budget, or the conjugating shear cannot be inverted."""
+
+
 # ---------------------------------------------------------------------------
 # bump functions and perturbed maps
 # ---------------------------------------------------------------------------
@@ -103,7 +109,7 @@ class Bump:
 def _map_scaffold(obj, automap: AutoMap, amplitude, direction, bump):
     """Shared constructor body for the perturbation families."""
     if not preserves_lattice(automap):
-        raise ValueError("linear part must preserve the lattice")
+        raise HypothesisError("linear part must preserve the lattice")
     obj.automap = automap
     obj.algebra = automap.algebra
     obj.ops = BatchOps(obj.algebra)
@@ -142,12 +148,12 @@ def _check_anosov_budget(obj):
     mu_s = obj.splitting.mu_s_plus
     mu_u = obj.splitting.mu_u_minus
     if s >= 1.0:
-        raise ValueError("perturbation shear exceeds the Anosov budget "
-                         "(directional Lipschitz constant %.3g >= 1)" % s)
+        raise HypothesisError("perturbation shear exceeds the Anosov budget "
+                              "(directional Lipschitz constant %.3g >= 1)" % s)
     budget_s = mu_s * s
     budget_u = mu_u * s / (1.0 - s)
     if mu_s + budget_s >= 1.0 or mu_u - budget_u <= 1.0:
-        raise ValueError(
+        raise HypothesisError(
             "perturbation exceeds the Anosov budget: "
             "mu^s+b = %.4f, mu^u-b = %.4f" % (mu_s + budget_s,
                                               mu_u - budget_u))
@@ -208,8 +214,8 @@ class ConjugatedMap:
         # G is invertible iff the shear fixed-point iteration contracts
         s = self.bump.directional_lipschitz(self.direction[:self.d1])
         if s >= 0.9:
-            raise ValueError("conjugating shear too strong to invert "
-                             "(directional Lipschitz constant %.3g)" % s)
+            raise HypothesisError("conjugating shear too strong to invert "
+                                  "(directional Lipschitz constant %.3g)" % s)
 
     def __repr__(self):
         return ("ConjugatedMap(dim=%d, amplitude=%g)"

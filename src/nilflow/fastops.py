@@ -157,10 +157,10 @@ class CoveringRadius:
       location.  The center of log(y gamma x^{-1}) is the center of y plus
       an offset that depends only on the horizontal data, so one BCH
       evaluation per (sample, location, horizontal translate) covers a whole
-      column, and the central translate is optimized exactly per axis by
-      clamped rounding.  When the center is one-dimensional and every column
-      is an arithmetic progression (as in preimage fibres) the best member
-      is one clamped round per column; otherwise every member is rounded;
+      column.  When every column is a full product of per-axis arithmetic
+      progressions (as in preimage fibres) its best member and central
+      translate are one clamped round per axis; otherwise every member is
+      rounded to its nearest central translate;
     * steps 3 and 4: the whole translate box is enumerated.
 
     Samples are split into chunks whose arrays hold about 4e6 floats, and
@@ -250,7 +250,7 @@ class CoveringRadius:
             n_vec[:d1] = n1
             Ygs.append(self.ops.bch(Yloc, self.ops.from_second_kind(n_vec)))
         center = points[:, d1:]
-        lookup = self._progression_lookup(center, inv, U)
+        lookup = self._grid_lookup(center, inv, U)
         per_sample = U * d
         if lookup is None:
             lookup = self._member_lookup(center, inv)
@@ -262,38 +262,38 @@ class CoveringRadius:
             for Yg in Ygs:
                 W0 = self.ops.bch(Yg[None, :, :], -X[:, None, :])
                 h = W0[..., :d1]
-                qh = np.sqrt(np.einsum("suk,suk->su", h, h))
-                # the best member's center is the one closest to -W0's
-                best = np.minimum(best, lookup(qh, -W0[..., d1:]))
-            return best
+                hh = np.einsum("suk,suk->su", h, h)
+                # the best member's center is the closest to -W0's (squared)
+                best = np.minimum(best, lookup(hh, -W0[..., d1:]))
+            return np.sqrt(best)
 
         return chunk, per_sample
 
-    def _progression_lookup(self, center, inv, U):
-        """Best-member lookup for a 1-dim center whose columns are all
-        arithmetic progressions, or None: nearest value is then one clamped
-        round per column and central translate."""
-        if center.shape[1] != 1:
-            return None
+    def _grid_lookup(self, center, inv, U):
+        """Best-member lookup when every column is the full product of
+        per-axis arithmetic progressions, or None.  The squared central
+        distance then splits over the axes: one clamped round per column,
+        axis and central translate."""
         order = np.argsort(inv, kind="stable")
         bounds = np.searchsorted(inv[order], np.arange(U + 1))
-        cols = [np.sort(center[order[bounds[u]:bounds[u + 1]], 0])
-                for u in range(U)]
-        if not all(len(c) < 3 or np.ptp(np.diff(c)) <= 1e-12 for c in cols):
-            return None
-        c0 = np.array([c[0] for c in cols])
-        lens = np.array([len(c) for c in cols])
-        steps = np.array([c[1] - c[0] if len(c) > 1 else 1.0 for c in cols])
-        shifts = range(-self.R, self.R + 1)
+        c0, steps, lens = (np.ones((U, center.shape[1])) for _ in range(3))
+        for u in range(U):
+            col = center[order[bounds[u]:bounds[u + 1]]]
+            axes = [np.unique(a) for a in col.T]
+            lens[u] = [len(a) for a in axes]
+            if (len(np.unique(col, axis=0)) != np.prod(lens[u])
+                    or any(len(a) > 2 and np.ptp(np.diff(a)) > 1e-12
+                           for a in axes)):
+                return None
+            c0[u] = [a[0] for a in axes]
+            steps[u] = [a[1] - a[0] if len(a) > 1 else 1.0 for a in axes]
 
-        def lookup(qh, q):
-            q = q[..., 0]
+        def lookup(hh, q):
             cent = np.full(q.shape, np.inf)
-            for s in shifts:
+            for s in range(-self.R, self.R + 1):
                 k = np.clip(np.round((q - s - c0) / steps), 0, lens - 1)
-                cand = c0 + k * steps + s
-                cent = np.minimum(cent, np.abs(cand - q))
-            return np.maximum(qh, np.sqrt(cent)).min(axis=1)
+                cent = np.minimum(cent, (c0 + k * steps + s - q) ** 2)
+            return np.maximum(hh, np.sqrt(cent.sum(axis=-1))).min(axis=1)
 
         return lookup
 
@@ -301,11 +301,11 @@ class CoveringRadius:
         """Best-member lookup over every member: per central axis, the
         clamped nearest central translate."""
 
-        def lookup(qh, q):
+        def lookup(hh, q):
             c = center[None, :, :] - q[:, inv, :]
             c += np.clip(np.round(-c), -self.R, self.R)
-            qc = np.einsum("spk,spk->sp", c, c) ** 0.25
-            return np.maximum(qh[:, inv], qc).min(axis=1)
+            cc = np.sqrt(np.einsum("spk,spk->sp", c, c))
+            return np.maximum(hh[:, inv], cc).min(axis=1)
 
         return lookup
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nilflow.cli import (
+    EXIT_HYPOTHESIS,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_PARSE,
@@ -107,6 +108,8 @@ def test_schema_violations_carry_field_paths(tmp_path):
          r"automorphism\[0\]\[1\]"),
         (dict(GOOD, experiment={"bogus": 1}), r"experiment\.bogus"),
         (dict(GOOD, perturbation={"amplitude": -1}),
+         r"perturbation\.amplitude"),
+        (dict(GOOD, perturbation={"amplitude": float("inf")}),
          r"perturbation\.amplitude"),
         (dict(GOOD, extra_field=1), "unknown field"),
     ]
@@ -231,6 +234,20 @@ def test_main_density_k_max_below_two(capsys):
     (["dynamics", "conjugacy", "--tol", "nan"], None, "tolerance must be positive"),
     (["dynamics", "conjugacy", "--grid", "1"], None, "grid must be at least 2"),
     (["dynamics", "conjugacy"], {"grid_n": 1}, "grid must be at least 2"),
+    (["analyze", "--threads", "0"], None, "threads must be at least 1"),
+    (["density", "--threads", "0"], None, "threads must be at least 1"),
+    (["dynamics", "periodic", "--threads", "-1"], None,
+     "threads must be at least 1"),
+    (["dynamics", "conjugacy", "--eps", "-1"], None,
+     "amplitude must be finite and nonnegative"),
+    (["dynamics", "conjugacy", "--eps", "nan"], None,
+     "amplitude must be finite and nonnegative"),
+    (["dynamics", "conjugacy", "--eps", "inf"], None,
+     "amplitude must be finite and nonnegative"),
+    (["dynamics", "periodic", "--eps", "-1"], None,
+     "amplitude must be finite and nonnegative"),
+    (["dynamics", "rigidity", "--eps", "-1"], None,
+     "amplitude must be finite and nonnegative"),
 ])
 def test_main_rejects_degenerate_settings(tmp_path, capsys, argv, experiment,
                                           message):
@@ -244,6 +261,37 @@ def test_main_rejects_degenerate_settings(tmp_path, capsys, argv, experiment,
     assert len(err.strip().splitlines()) == 1
     assert message in err
     assert "Traceback" not in err
+
+
+ROTATION = {
+    "name": "rotation", "dimension": 2, "structure_constants": [],
+    "automorphism": [["0", "-1"], ["1", "0"]],
+}
+
+
+@pytest.mark.parametrize("system,argv,code,message", [
+    (ROTATION, ["analyze"], EXIT_OK, None),
+    (ROTATION, ["dynamics", "periodic"], EXIT_HYPOTHESIS, "modulus within"),
+    (ROTATION, ["dynamics", "conjugacy"], EXIT_HYPOTHESIS, "modulus within"),
+    (ROTATION, ["dynamics", "rigidity"], EXIT_HYPOTHESIS, "modulus within"),
+    (GOOD, ["dynamics", "conjugacy", "--eps", "5"], EXIT_HYPOTHESIS,
+     "Anosov budget"),
+])
+def test_main_maps_outside_the_hypotheses(tmp_path, capsys, system, argv,
+                                          code, message):
+    command, *rest = argv
+    rc = main([command, write(tmp_path, "m.json", system), *rest])
+    out, err = capsys.readouterr()
+    assert rc == code
+    assert "Traceback" not in err
+    if message is None:
+        assert err == ""
+        assert "hyperbolic: indeterminate" in out
+        assert "unstable subalgebra is an ideal: indeterminate" in out
+        assert "splitting: none" in out
+    else:
+        assert len(err.strip().splitlines()) == 1
+        assert message in err
 
 
 def test_main_density_csv(tmp_path, capsys):

@@ -221,11 +221,12 @@ def fibre_sk(am, k, seed=71):
     return points_to_second_kind_array(preimages(am, generic_base(am, seed), k))
 
 
-def drop_inner_member(points):
-    """The set without the second-lowest center of the first column, whose
-    centers then no longer form an arithmetic progression."""
-    col = np.flatnonzero((points[:, :2] == points[0, :2]).all(axis=1))
-    col = col[np.argsort(points[col, 2])]
+def drop_inner_member(points, d1):
+    """The set without the second member of the first column, ordered by
+    the first central coordinate; that column is then no longer a full
+    product of arithmetic progressions."""
+    col = np.flatnonzero((points[:, :d1] == points[0, :d1]).all(axis=1))
+    col = col[np.argsort(points[col, d1], kind="stable")]
     assert len(col) >= 3
     return np.delete(points, col[1], axis=0)
 
@@ -243,14 +244,15 @@ def oracle_min_dists(algebra, samples, points):
     ("doubling", 2, 4, False),     # step 1
     ("heis_am", 1, 3, False),      # step 2, arithmetic-progression columns
     ("heis_am", 1, 3, True),       # step 2, an uneven 1-dim column
-    ("ex5_am", 1, 2, False),       # step 2, 2-dim center
+    ("ex5_am", 1, 2, False),       # step 2, 2-dim center, grid columns
+    ("ex5_am", 1, 2, True),        # step 2, an uneven 2-dim column
     ("filiform3", 1, 2, False),    # step 3, translate box
 ])
 def test_min_dist_matches_manifold_dist(request, system, k, grid_n, thin):
     am = request.getfixturevalue(system)
     points = fibre_sk(am, k)
     if thin:
-        points = drop_inner_member(points)
+        points = drop_inner_member(points, am.algebra.layer_dims[0])
     cr = CoveringRadius(am.algebra)
     samples = cr.grid(grid_n)
     got = cr.min_dist_to_set(samples, points)
@@ -258,25 +260,58 @@ def test_min_dist_matches_manifold_dist(request, system, k, grid_n, thin):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def test_uneven_column_takes_the_member_lookup(heis_am):
-    points = fibre_sk(heis_am, 1)
-    cr = CoveringRadius(heis_am.algebra)
-    for pts, even in ((points, True), (drop_inner_member(points), False)):
-        hloc, inv = np.unique(pts[:, :2], axis=0, return_inverse=True)
-        lookup = cr._progression_lookup(pts[:, 2:], np.ravel(inv), len(hloc))
-        assert (lookup is not None) == even
+def diagonal_column(m):
+    """One column whose m central values per axis are progressions, paired
+    along the diagonal instead of forming their full product."""
+    diag = np.repeat(np.arange(m)[:, None] / m, 2, axis=1)
+    return np.concatenate([np.zeros((m, 3)), diag], axis=1)
 
 
-@pytest.mark.parametrize("system,k,grid_n", [
-    ("heis_am", 3, 28),   # arithmetic-progression columns
-    ("ex5_am", 2, 8),     # 2-dim center
-])
-def test_threads_give_bitwise_equal_distances(monkeypatch, request,
-                                              system, k, grid_n):
+def takes_grid_lookup(algebra, points):
+    d1 = algebra.layer_dims[0]
+    hloc, inv = np.unique(points[:, :d1], axis=0, return_inverse=True)
+    lookup = CoveringRadius(algebra)._grid_lookup(points[:, d1:],
+                                                  np.ravel(inv), len(hloc))
+    return lookup is not None
+
+
+def test_uneven_column_takes_the_member_lookup(heis_am, ex5_am):
+    heis, ex5 = fibre_sk(heis_am, 1), fibre_sk(ex5_am, 3)
+    for am, pts, grid in ((heis_am, heis, True),
+                          (heis_am, drop_inner_member(heis, 2), False),
+                          (ex5_am, ex5, True),
+                          (ex5_am, drop_inner_member(ex5, 3), False),
+                          (ex5_am, diagonal_column(4), False)):
+        assert takes_grid_lookup(am.algebra, pts) == grid
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_grid_lookup_matches_member_lookup(monkeypatch, ex5_am, k):
+    points = fibre_sk(ex5_am, k)
+    assert takes_grid_lookup(ex5_am.algebra, points)
+    cr = CoveringRadius(ex5_am.algebra)
+    samples = cr.grid(4)
+    grid = cr.min_dist_to_set(samples, points)
+    monkeypatch.setattr(CoveringRadius, "_grid_lookup", lambda *args: None)
+    member = cr.min_dist_to_set(samples, points)
+    np.testing.assert_allclose(grid, member, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("system,k,grid_n,radius,thin", [
+    ("heis_am", 3, 28, 1, False),   # grid lookup, 1-dim center
+    ("ex5_am", 4, 9, 0, False),     # grid lookup, 2-dim center
+    ("ex5_am", 2, 8, 1, True),      # member lookup, 2-dim center
+], ids=["heis_am-3-28", "ex5_am-4-9", "ex5_am-2-8-thin"])
+def test_threads_give_bitwise_equal_distances(monkeypatch, request, system,
+                                              k, grid_n, radius, thin):
+    """Each case is large enough for at least two sample chunks."""
     am = request.getfixturevalue(system)
     points = fibre_sk(am, k)
+    if thin:
+        points = drop_inner_member(points, am.algebra.layer_dims[0])
     samples = CoveringRadius(am.algebra).grid(grid_n)
-    one = CoveringRadius(am.algebra, threads=1).min_dist_to_set(samples, points)
+    one = CoveringRadius(am.algebra, radius, threads=1).min_dist_to_set(
+        samples, points)
     chunks = []
 
     class Pool(ThreadPoolExecutor):
@@ -285,6 +320,7 @@ def test_threads_give_bitwise_equal_distances(monkeypatch, request,
             return super().submit(fn, *args)
 
     monkeypatch.setattr("nilflow.fastops.ThreadPoolExecutor", Pool)
-    two = CoveringRadius(am.algebra, threads=2).min_dist_to_set(samples, points)
+    two = CoveringRadius(am.algebra, radius, threads=2).min_dist_to_set(
+        samples, points)
     assert len(chunks) >= 2 and sum(chunks) == len(samples)
     assert two.tobytes() == one.tobytes()
