@@ -238,6 +238,9 @@ def _parse_perturbation(p, dim: int, d1: int) -> dict:
         out["direction"] = [float(_exact(c, f"perturbation.direction[{j}]"))
                             if not isinstance(c, float) else c
                             for j, c in enumerate(v)]
+        _expect(all(map(math.isfinite, out["direction"]))
+                and any(out["direction"]), "perturbation.direction",
+                "a finite nonzero vector is required")
     if p.get("bump") is not None:
         terms = p["bump"]
         _expect(isinstance(terms, list) and terms, "perturbation.bump",
@@ -251,11 +254,12 @@ def _parse_perturbation(p, dim: int, d1: int) -> dict:
             k, c = t
             _expect(isinstance(k, list) and len(k) == d1
                     and all(isinstance(x, int) and not isinstance(x, bool)
-                            for x in k),
-                    f"{path}[0]", f"a horizontal integer frequency of "
-                    f"length {d1} is required")
-            _expect(isinstance(c, (int, float)) and not isinstance(c, bool),
-                    f"{path}[1]", "a numeric coefficient is required")
+                            for x in k)
+                    and any(k), f"{path}[0]", f"a nonzero horizontal "
+                    f"integer frequency of length {d1} is required")
+            _expect(isinstance(c, (int, float)) and not isinstance(c, bool)
+                    and math.isfinite(c), f"{path}[1]",
+                    "a finite numeric coefficient is required")
             parsed.append([list(k), float(c)])
         out["bump"] = parsed
     return out
@@ -279,7 +283,8 @@ def _parse_experiment(e) -> dict:
     if "tol" in e:
         v = e["tol"]
         _expect(isinstance(v, (int, float)) and not isinstance(v, bool)
-                and v > 0, "experiment.tol", "a positive number is required")
+                and math.isfinite(v) and v > 0, "experiment.tol",
+                "a finite positive number is required")
         out["tol"] = float(v)
     return out
 
@@ -470,6 +475,7 @@ def cmd_dynamics(defn: SystemDefinition, experiment: str, *, p_max=None,
         _require(grid >= 2, "the grid must be at least 2", grid)
         tol = tol if tol is not None else defn.param("tol", 1e-6)
         _require(tol > 0, "the tolerance must be positive", tol)
+        _require(math.isfinite(tol), "the tolerance must be finite", tol)
         max_iter = defn.param("max_iter", 500)
         fld = solve_conjugacy(F, grid_n=grid, tol=tol, max_iter=max_iter)
         summary = (f"converged in {len(fld.history)} sweeps, residual "

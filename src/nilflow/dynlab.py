@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from .ratcore import RatMatrix, block_residues
@@ -438,7 +439,9 @@ def periodic_points(F, P: int, tol: float = 1e-10, max_newton: int = 25,
     with the seed's lattice word gamma held fixed, with the closed-form
     Jacobian of the composition.  Raises ConvergenceError unless the
     refined points are exactly the Lefschetz count |det(Psi^P - I)| of
-    distinct points and the map permutes them.
+    distinct points and the map permutes them.  The orbits are assembled
+    from one walk of that successor permutation (see _orbit_reports), one
+    report per orbit, ordered by period and first point.
     """
     if P < 1:
         raise ValueError("period must be >= 1")
@@ -521,28 +524,44 @@ def periodic_points(F, P: int, tol: float = 1e-10, max_newton: int = 25,
         v /= np.linalg.norm(v, axis=1, keepdims=True)
     contr = np.log(np.linalg.norm(np.einsum("nij,nj->ni", M, v), axis=1))
 
-    # succ is a permutation, so every walk returns to its start
-    visited = np.zeros(len(Xr), dtype=bool)
-    reports = []
-    for i in range(len(Xr)):
-        if visited[i]:
-            continue
-        cycle = [i]
-        visited[i] = True
-        j = int(succ[i])
-        while j != i:
-            visited[j] = True
-            cycle.append(j)
-            j = int(succ[j])
-        idx = np.array(cycle)
-        reports.append(PeriodicOrbitReport(
-            period=len(cycle),
-            points=Tr[idx],
-            lambda_s=float(np.mean(contr[idx])),
-            residual=float(np.max(rn[idx])),
-        ))
-    reports.sort(key=lambda rep: (rep.period, tuple(np.round(rep.points[0], 9))))
-    return reports
+    return _orbit_reports(succ, P, Tr, contr, rn)
+
+
+def _orbit_reports(succ, P: int, T, contr, rn):
+    """One PeriodicOrbitReport per cycle of the permutation succ, whose
+    cycle lengths must divide P.
+
+    Every point is walked P steps at once; its prime period is its first
+    return.  An orbit starts at the least index on its cycle and follows
+    succ; its exponent is the mean of contr and its residual the maximum
+    of rn along it.  The reports are ordered by period and then by the
+    first point rounded to 9 digits, with ties in index order.  A point
+    that succ^P does not fix lies on a longer cycle: ConvergenceError.
+    """
+    n = len(succ)
+    walk = np.empty((P, n), dtype=np.intp)
+    walk[0] = np.arange(n)
+    for k in range(1, P):
+        walk[k] = succ[walk[k - 1]]
+    off = int((succ[walk[-1]] != walk[0]).sum())
+    if off:
+        raise ConvergenceError(
+            "the map does not return %d periodic points to themselves "
+            "after %d steps" % (off, P))
+    period = np.full(n, P)
+    for k in range(P - 1, 0, -1):
+        period[walk[k] == walk[0]] = k
+    leader = walk.min(axis=0) == walk[0]
+    reports, keys = [], []
+    for p in np.unique(period[leader]).tolist():
+        idx = walk[:p, leader & (period == p)].T
+        keys.append(np.column_stack([np.full(len(idx), p),
+                                     np.round(T[idx[:, 0]], 9)]))
+        reports += map(PeriodicOrbitReport, itertools.repeat(p), T[idx],
+                       contr[idx].mean(axis=1).tolist(),
+                       rn[idx].max(axis=1).tolist())
+    order = np.lexsort(np.concatenate(keys).T[::-1])
+    return [reports[k] for k in order]
 
 
 def periodic_orbits(F, P_max: int, tol: float = 1e-10):
@@ -555,13 +574,18 @@ def periodic_orbits(F, P_max: int, tol: float = 1e-10):
 
 
 def orbits_to_csv(reports, dim: int) -> str:
+    return _orbit_csv(dim, ((rep.period, rep.points[0], rep.lambda_s,
+                             rep.residual) for rep in reports))
+
+
+def _orbit_csv(dim: int, rows) -> str:
+    """One CSV line per (period, first point, lambda_s, residual) row."""
     header = ("period," + ",".join("t%d" % (i + 1) for i in range(dim))
               + ",lambda_s,residual")
     lines = [header]
-    for rep in reports:
-        coords = ",".join("%.12g" % c for c in rep.points[0])
-        lines.append("%d,%s,%.12g,%.3g"
-                     % (rep.period, coords, rep.lambda_s, rep.residual))
+    for p, pt, e, r in rows:
+        coords = ",".join("%.12g" % c for c in pt)
+        lines.append("%d,%s,%.12g,%.3g" % (p, coords, e, r))
     return "\n".join(lines) + "\n"
 
 
@@ -574,7 +598,11 @@ class _EquivariantInterp:
     equivariant wrap-around: a cell corner landing on a coordinate-1 face
     is remapped to its reduced representative, which must land back on the
     grid (true whenever the lattice shears are integer, as enforced by the
-    snap check)."""
+    snap check).
+
+    The interpolation is one sparse operator, built once: a CSR matrix with
+    a row per query and its 2^d corner weights in corner order, so that
+    gather(u) = matrix @ u for a field u with one row per grid point."""
 
     def __init__(self, ops: BatchOps, n: int, T):
         T = np.asarray(T, dtype=float)
@@ -603,11 +631,12 @@ class _EquivariantInterp:
             idx[:, c] = np.ravel_multi_index(tuple(gi.T), (n,) * d)
             w = np.where(off, frac, 1.0 - frac)
             wts[:, c] = np.prod(w, axis=1)
-        self.idx = idx
-        self.weights = wts
+        self.matrix = csr_matrix(
+            (wts.ravel(), idx.ravel(), np.arange(0, idx.size + 1, len(corners))),
+            shape=(Q, n ** d))
 
     def gather(self, u):
-        return np.einsum("qc,qcd->qd", self.weights, u[self.idx])
+        return self.matrix @ u
 
 
 def _su_split(ops: BatchOps, Ps, Pu, W):
@@ -693,7 +722,8 @@ def solve_conjugacy(F, grid_n: int = 17, tol: float = 1e-6,
     updates the unstable component by the backward relation
     D(x) <- Psi^{-1}(D(F(x)) w(x)^{-1}) and the stable component by the
     forward relation at the principal preimage, with grid interpolation
-    coupling the two point meshes; the iteration contracts at
+    coupling the two point meshes (two sparse operators built once, one
+    product each per sweep); the iteration contracts at
     max(mu^s, 1/mu^u_-).  The reported residual is the sweep's own
     fixed-point defect sup_g |log(D'(g) D(g)^{-1})|, which decreases
     geometrically at the contraction rate and vanishes exactly when both
@@ -801,14 +831,7 @@ class RigidityReport:
                                        self.exponents, self.residuals)]
 
     def to_csv(self) -> str:
-        dim = self.representatives.shape[1]
-        header = ("period," + ",".join("t%d" % (i + 1) for i in range(dim))
-                  + ",lambda_s,residual")
-        lines = [header]
-        for p, pt, e, r in self.rows():
-            coords = ",".join("%.12g" % c for c in pt)
-            lines.append("%d,%s,%.12g,%.3g" % (p, coords, e, r))
-        return "\n".join(lines) + "\n"
+        return _orbit_csv(self.representatives.shape[1], self.rows())
 
 
 def rigidity_experiment(F, P_max: int = 3, tol: float = 1e-10,

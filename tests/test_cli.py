@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -248,6 +249,8 @@ def test_main_density_k_max_below_two(capsys):
      "amplitude must be finite and nonnegative"),
     (["dynamics", "rigidity", "--eps", "-1"], None,
      "amplitude must be finite and nonnegative"),
+    (["dynamics", "conjugacy", "--tol", "inf"], None,
+     "tolerance must be finite"),
 ])
 def test_main_rejects_degenerate_settings(tmp_path, capsys, argv, experiment,
                                           message):
@@ -292,6 +295,51 @@ def test_main_maps_outside_the_hypotheses(tmp_path, capsys, system, argv,
     else:
         assert len(err.strip().splitlines()) == 1
         assert message in err
+
+
+MALFORMED = {
+    "missing field": ({k: v for k, v in GOOD.items() if k != "automorphism"},
+                      "schema violation at automorphism"),
+    "non-rational entry": (dict(GOOD, automorphism=[
+        ["4", "2/x", "0"], ["2", "2", "0"], ["0", "0", "4"]]),
+        r"automorphism\[0\]\[1\]: not a rational"),
+    "singular linear part": (dict(GOOD, automorphism=[
+        ["1", "1", "0"], ["1", "1", "0"], ["0", "0", "0"]]),
+        "automorphism invalid: matrix is singular"),
+    "bracket breaks Jacobi": ({
+        "name": "j", "dimension": 4,
+        "structure_constants": [[1, 2, 3, "1"], [1, 3, 4, "1"],
+                                [2, 3, 4, "1"], [1, 4, 2, "1"]],
+        "automorphism": [["1" if i == j else "0" for j in range(4)]
+                         for i in range(4)]}, "Jacobi identity fails"),
+    "zero bump frequency": (dict(GOOD, perturbation={
+        "amplitude": 0.01, "bump": [[[0, 0], 1.0]]}),
+        r"perturbation\.bump\[0\]\[0\]"),
+    "non-finite bump coefficient": (dict(GOOD, perturbation={
+        "amplitude": 0.01, "bump": [[[1, 0], math.nan]]}),
+        r"perturbation\.bump\[0\]\[1\]"),
+    "zero direction": (dict(GOOD, perturbation={
+        "amplitude": 0.01, "direction": [0, 0, 0]}),
+        r"perturbation\.direction"),
+    "infinite tolerance": (dict(GOOD, experiment={"tol": math.inf}),
+                           r"experiment\.tol"),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"], ["density"], ["dynamics", "periodic"],
+    ["dynamics", "conjugacy"], ["dynamics", "rigidity"]], ids=" ".join)
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_main_rejects_malformed_systems(tmp_path, capsys, case, argv):
+    system, message = MALFORMED[case]
+    command, *rest = argv
+    rc = main([command, write(tmp_path, "bad.json", system), *rest])
+    out, err = capsys.readouterr()
+    assert rc == EXIT_PARSE
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("nilflow: ") and "Traceback" not in err
+    assert re.search(message, err)
 
 
 def test_main_density_csv(tmp_path, capsys):

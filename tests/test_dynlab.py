@@ -7,12 +7,15 @@ from itertools import product
 import numpy as np
 import pytest
 
+from nilflow import dynlab
 from nilflow.cli import fixture_path, parse_system
 from nilflow.dynlab import (
     Bump,
     ConjugatedMap,
     ConvergenceError,
     PerturbedMap,
+    _EquivariantInterp,
+    _orbit_reports,
     _psi_periodic_seeds,
     _su_split,
     jacobian,
@@ -279,6 +282,63 @@ def test_missing_points_are_an_error(heis_am):
                         max_newton=0)
 
 
+def scalar_orbit_reports(succ, T, contr, rn):
+    """The orbits of the permutation succ by a scalar walk from each
+    unvisited index, sorted by period and rounded first point."""
+    visited = np.zeros(len(succ), dtype=bool)
+    reports = []
+    for i in range(len(succ)):
+        if visited[i]:
+            continue
+        cycle, j = [i], int(succ[i])
+        visited[i] = True
+        while j != i:
+            visited[j] = True
+            cycle.append(j)
+            j = int(succ[j])
+        idx = np.array(cycle)
+        reports.append((len(cycle), T[idx], float(np.mean(contr[idx])),
+                        float(np.max(rn[idx]))))
+    reports.sort(key=lambda rep: (rep[0], tuple(np.round(rep[1][0], 9))))
+    return reports
+
+
+@pytest.mark.parametrize("system,amplitude,P,periods", [
+    ("doubling", 0.0, 4, {1, 2, 4}),
+    ("cat_map", 0.0, 6, {1, 2, 3, 6}),
+    ("heis_am", 0.01, 4, {1, 2, 4}),
+])
+def test_orbit_assembly_matches_scalar_walk(request, monkeypatch, system,
+                                            amplitude, P, periods):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _orbit_reports(*args)
+
+    monkeypatch.setattr(dynlab, "_orbit_reports", spy)
+    F = PerturbedMap(request.getfixturevalue(system), amplitude=amplitude)
+    got = periodic_points(F, P)
+    (succ, _, T, contr, rn), = calls
+    want = scalar_orbit_reports(succ, T, contr, rn)
+    assert {rep.period for rep in got} == periods
+    assert len(got) == len(want)
+    for rep, (p, pts, lam, res) in zip(got, want):
+        assert rep.period == p
+        assert rep.points.tobytes() == pts.tobytes()
+        assert rep.lambda_s == lam and rep.residual == res
+
+
+def test_orbit_assembly_rejects_a_longer_cycle():
+    # a 4-cycle, a 2-cycle and a fixed point, walked with P = 3
+    succ = np.array([1, 2, 3, 0, 5, 4, 6])
+    T = np.zeros((7, 2))
+    with pytest.raises(ConvergenceError, match="does not return 6 periodic"):
+        _orbit_reports(succ, 3, T, np.zeros(7), np.zeros(7))
+    assert [rep.period for rep in
+            _orbit_reports(succ, 4, T, np.zeros(7), np.zeros(7))] == [1, 2, 4]
+
+
 def test_orbit_csv_format(heis_am):
     reports = periodic_points(PerturbedMap(heis_am), 1)
     csv = orbits_to_csv(reports, 3)
@@ -337,6 +397,51 @@ def test_conjugacy_converges_for_small_shear(heis_am):
     assert all(b < a for a, b in zip(residuals, residuals[1:]))
     csv = fld.to_csv()
     assert csv.splitlines()[0] == "iter,residual,sup_displacement"
+
+
+def einsum_gather(interp, u):
+    """The interpolation as a dense gather of the 2^d corners per query."""
+    m = interp.matrix
+    corners = m.indptr[1] - m.indptr[0]
+    idx = m.indices.reshape(-1, corners)
+    w = m.data.reshape(-1, corners)
+    return np.einsum("qc,qcd->qd", w, u[idx])
+
+
+@pytest.mark.parametrize("system,grid", [("heis_am", 9), ("ex5_am", 5)])
+def test_interpolation_matches_einsum_gather(request, system, grid):
+    F = PerturbedMap(request.getfixturevalue(system), amplitude=0.01)
+    ops, d = F.ops, F.algebra.dim
+    rng = np.random.default_rng(29)
+    T = rng.uniform(0, 1, size=(400, d))
+    # rows in the last cell of some axis wrap through a coordinate-1 face
+    assert (np.floor(T * grid) == grid - 1).any(axis=1).sum() > 50
+    interp = _EquivariantInterp(ops, grid, T)
+    m = interp.matrix
+    assert m.shape == (len(T), grid ** d)
+    assert (np.diff(m.indptr) == 2 ** d).all()
+    assert np.allclose(m.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+    # rows that do not wrap hold their cell's corners in corner order
+    base = np.floor(T * grid).astype(int)
+    inner = (base < grid - 1).all(axis=1)
+    cells = base[inner][:, None] + np.array(list(product((0, 1), repeat=d)))
+    want = np.ravel_multi_index(tuple(np.moveaxis(cells, -1, 0)), (grid,) * d)
+    assert np.array_equal(m.indices.reshape(len(T), -1)[inner], want)
+    u = rng.uniform(-1, 1, size=(grid ** d, d))
+    assert interp.gather(u).tobytes() == einsum_gather(interp, u).tobytes()
+    # on grid points the interpolation returns the grid values
+    axes = [np.arange(grid) / grid] * d
+    G = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    assert np.array_equal(_EquivariantInterp(ops, grid, G).gather(u), u)
+
+
+def test_conjugacy_history_matches_einsum_gather(heis_am, monkeypatch):
+    F = PerturbedMap(heis_am, amplitude=0.01)
+    fld = solve_conjugacy(F, grid_n=9)
+    monkeypatch.setattr(_EquivariantInterp, "gather", einsum_gather)
+    ref = solve_conjugacy(F, grid_n=9)
+    assert fld.history == ref.history
+    assert fld.displacement.tobytes() == ref.displacement.tobytes()
 
 
 def test_conjugacy_iteration_cap(heis_am):
