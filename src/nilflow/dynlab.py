@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.spatial import cKDTree
 
 from .ratcore import RatMatrix, block_residues
 from .liealg import LieAlgebra
@@ -78,6 +76,8 @@ class Bump:
                 raise ValueError("bump frequencies must be integer vectors")
             if not np.any(k):
                 raise ValueError("zero frequency is not allowed in a bump")
+            if not math.isfinite(float(c)):
+                raise ValueError("bump coefficients must be finite")
             freqs.append(np.round(k).astype(int))
             coeffs.append(float(c))
         self.freqs = np.array(freqs, dtype=int).reshape(len(freqs), d1)
@@ -116,8 +116,8 @@ def _map_scaffold(obj, automap: AutoMap, amplitude, direction, bump):
     obj.ops = BatchOps(obj.algebra)
     obj.splitting = hyperbolic_splitting(automap)
     obj.amplitude = float(amplitude)
-    if obj.amplitude < 0:
-        raise ValueError("amplitude must be nonnegative")
+    if not 0.0 <= obj.amplitude < math.inf:
+        raise ValueError("amplitude must be finite and nonnegative")
     obj.psi = automap.matrix.to_float()
     obj.psi_T = obj.psi.T.copy()
     obj.psi_inv_T = np.linalg.inv(obj.psi).T.copy()
@@ -129,7 +129,10 @@ def _map_scaffold(obj, automap: AutoMap, amplitude, direction, bump):
             # expanding linear part: no stable direction to default to
             direction = np.eye(obj.algebra.dim)[0]
     direction = np.asarray(direction, dtype=float)
-    obj.direction = direction / np.linalg.norm(direction)
+    norm = np.linalg.norm(direction)
+    if not 0.0 < norm < math.inf:
+        raise ValueError("direction must be finite and nonzero")
+    obj.direction = direction / norm
     if bump is None:
         k0 = np.zeros(obj.d1, dtype=int)
         k0[0] = 1
@@ -229,22 +232,26 @@ class ConjugatedMap:
         phi = self.bump(X[..., :self.d1])
         return self.ops.bch(phi[..., None] * self.direction, X)
 
-    def g_invert(self, Y, iters: int = 80, tol: float = 1e-14):
+    def g_invert(self, Y, iters: int = 40, tol: float = 1e-14):
+        """G^{-1}(Y) by one scalar solve per point.  The bump reads only the
+        horizontal coordinates, where BCH is additive, so Y = exp(s v) * X
+        with s = phi(X_h) gives X_h = Y_h - s v_h: s solves
+        s = phi(Y_h - s v_h), and X = exp(-s v) * Y.  Newton's derivative
+        1 + grad(phi).v_h stays at or above 0.1 under the constructor's
+        Lipschitz guard."""
         Y = np.asarray(Y, dtype=float)
         if self.amplitude == 0.0:
             return Y.copy()
-        X = Y.copy()
+        Yh, vh = Y[..., :self.d1], self.direction[:self.d1]
+        s = self.bump(Yh)
         for _ in range(iters):
-            phi = self.bump(X[..., :self.d1])
-            Xn = self.ops.bch(-phi[..., None] * self.direction, Y)
-            if np.max(np.abs(Xn - X)) < tol:
-                return Xn
-            X = Xn
-        err = np.max(np.abs(self.g_apply(X) - Y))
-        if err > 1e-10:
-            raise ConvergenceError("shear inversion stalled at error %.3g"
-                                   % err)
-        return X
+            Xh = Yh - s[..., None] * vh
+            step = (s - self.bump(Xh)) / (1.0 + self.bump.gradient(Xh) @ vh)
+            s = s - step
+            if np.max(np.abs(step)) < tol:
+                return self.ops.bch(-s[..., None] * self.direction, Y)
+        raise ConvergenceError("shear inversion stalled at Newton step %.3g"
+                               % np.max(np.abs(step)))
 
     def lift(self, X):
         Z = self.g_invert(X)
@@ -430,24 +437,13 @@ def _snap_torus(T, tol=1e-9):
     return np.clip(T, 0.0, None)
 
 
-def periodic_points(F, P: int, tol: float = 1e-10, max_newton: int = 25,
-                    n_pullback: int = 18):
-    """All orbits of the quotient map with period dividing P.
-
-    Seeds come from the exact layered solve for the linear part; Newton
-    then refines each seed on the lift equation F^P(x) * gamma^{-1} = x
-    with the seed's lattice word gamma held fixed, with the closed-form
-    Jacobian of the composition.  Raises ConvergenceError unless the
-    refined points are exactly the Lefschetz count |det(Psi^P - I)| of
-    distinct points and the map permutes them.  The orbits are assembled
-    from one walk of that successor permutation (see _orbit_reports), one
-    report per orbit, ordered by period and first point.
-    """
-    if P < 1:
-        raise ValueError("period must be >= 1")
+def _newton_periodic(F, P: int, tol: float, max_newton: int):
+    """The points of period dividing P, refined by Newton from the linear
+    part's seeds and reduced: (first-kind representatives, second-kind
+    coordinates on the torus, Newton residuals).  Raises ConvergenceError
+    unless they are the Lefschetz count of distinct points."""
     ops = F.ops
-    a = F.algebra
-    d = a.dim
+    d = F.algebra.dim
     T, expected = _psi_periodic_seeds(F.automap, P)
     X = ops.from_second_kind(T)
     psiP_T = F.automap.power(P).matrix.to_float().T
@@ -497,6 +493,32 @@ def periodic_points(F, P: int, tol: float = 1e-10, max_newton: int = 25,
             "found %d distinct points of period dividing %d, expected %d; "
             "%d seeds stayed above the Newton tolerance %g"
             % (distinct, P, expected, stalled, tol))
+    return Xr, Tr, rn
+
+
+def periodic_points(F, P: int, tol: float = 1e-10, max_newton: int = 25,
+                    n_pullback: int = 18):
+    """All orbits of the quotient map with period dividing P.
+
+    Seeds come from the exact layered solve for the linear part; Newton
+    then refines each seed on the lift equation F^P(x) * gamma^{-1} = x
+    with the seed's lattice word gamma held fixed, with the closed-form
+    Jacobian of the composition.  Raises ConvergenceError unless the
+    refined points are exactly the Lefschetz count |det(Psi^P - I)| of
+    distinct points and the map permutes them.  The orbits are assembled
+    from one walk of that successor permutation (see _orbit_reports), one
+    report per orbit, ordered by period and first point.
+    """
+    if P < 1:
+        raise ValueError("period must be >= 1")
+    ops = F.ops
+    d = F.algebra.dim
+    # the seeds and Newton's work arrays are freed before the frame
+    # transfer, where a call's memory peaks
+    Xr, Tr, rn = _newton_periodic(F, P, tol, max_newton)
+
+    # scipy loads on first use: `import nilflow` needs numpy only
+    from scipy.spatial import cKDTree
 
     # successor structure of the quotient map on the periodic set, and
     # the transfers along it in the right-invariant frame (reduction is
@@ -605,6 +627,8 @@ class _EquivariantInterp:
     gather(u) = matrix @ u for a field u with one row per grid point."""
 
     def __init__(self, ops: BatchOps, n: int, T):
+        from scipy.sparse import csr_matrix
+
         T = np.asarray(T, dtype=float)
         Q, d = T.shape
         scaled = T * n
@@ -729,7 +753,8 @@ def solve_conjugacy(F, grid_n: int = 17, tol: float = 1e-6,
     geometrically at the contraction rate and vanishes exactly when both
     relations hold; for a deformation with mismatched periodic data the
     limit field is the displacement of the semiconjugacy, which is still
-    the unique bounded solution of the sampled equation.
+    the unique bounded solution of the sampled equation.  A residual that
+    is not finite ends the iteration at once with ConvergenceError.
     """
     ops = F.ops
     a = F.algebra
@@ -769,7 +794,7 @@ def solve_conjugacy(F, grid_n: int = 17, tol: float = 1e-6,
         res = float(np.max(np.linalg.norm(defect, axis=1)))
         u = u_new
         history.append((it, res, float(np.max(ops.quasi_norm(u)))))
-        if res < tol:
+        if res < tol or not math.isfinite(res):
             break
 
     fld = ConjugacyField(
@@ -784,7 +809,8 @@ def solve_conjugacy(F, grid_n: int = 17, tol: float = 1e-6,
     if not fld.converged:
         err = ConvergenceError(
             "conjugacy iteration capped at %d sweeps with residual %.3g"
-            % (it, res))
+            % (it, res) if math.isfinite(res) else
+            "conjugacy residual is %s at sweep %d" % (res, it))
         err.field = fld
         raise err
     return fld

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.linalg import schur, subspace_angles
 
 from .liealg import LieAlgebra
 from .nilgroup import GroupPoint, in_lattice
@@ -211,6 +210,9 @@ class SpectralSplit:
 
 def hyperbolic_splitting(am: AutoMap, tol: float = ANALYTIC_TOL) -> SpectralSplit:
     """Invariant stable/unstable subspaces via sorted real Schur form."""
+    # scipy loads on first use: `import nilflow` needs numpy only
+    from scipy.linalg import schur
+
     is_hyperbolic(am, tol)  # raises in the indeterminate band
     A = am.matrix.to_float()
     lams = eigenvalues(am)
@@ -281,4 +283,6 @@ def stable_exponent(am: AutoMap, tol: float = ANALYTIC_TOL) -> float:
 
 def stable_subspace_angle(split: SpectralSplit, vectors: np.ndarray) -> float:
     """Largest principal angle between span(vectors) and the stable space."""
+    from scipy.linalg import subspace_angles
+
     return float(np.max(subspace_angles(split.stable, vectors)))

@@ -105,9 +105,6 @@ class RatMatrix:
             sum((a * x for a, x in zip(row, v) if a and x), start=Fraction(0))
             for row in self.rows)
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(list(zip(*self.rows)))
-
     def is_square(self) -> bool:
         return self.n == self.m
 
@@ -236,12 +233,6 @@ class RatPoly:
         acc = 0 if not isinstance(x, complex) else 0j
         for c in reversed(self.coeffs):
             acc = acc * x + (float(c) if isinstance(x, (float, complex)) else c)
-        return acc
-
-    def eval_exact(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
         return acc
 
     def __add__(self, other: "RatPoly") -> "RatPoly":

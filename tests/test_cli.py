@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,3 +396,32 @@ def test_main_seed_flag(tmp_path):
     }
     path = write(tmp_path, "t.json", obj)
     assert main(["density", path, "--k-max", "2", "--seed", "11"]) == EXIT_OK
+
+
+DENSITY_PATH = """
+import json, sys
+import nilflow, nilflow.cli
+from nilflow.cli import fixture_path, main, parse_system
+from nilflow.nilgroup import identity
+for name in ("heisenberg", "example5d"):
+    defn = parse_system(fixture_path(name))
+    base = nilflow.ManifoldPoint(identity(defn.algebra))
+    nilflow.density_experiment(defn.automap, base, 2, grid_n=5)
+    assert main(["density", str(fixture_path(name)), "--k-max", "2",
+                 "--grid", "5"]) == 0
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("scipy", "sympy"))))
+"""
+
+
+def test_density_path_loads_no_scipy_or_sympy():
+    """The import, the parser and the whole density path, library and
+    command, need numpy only; a fresh interpreter shows what they load."""
+    import nilflow
+    src = str(Path(nilflow.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", DENSITY_PATH], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == []

@@ -99,6 +99,57 @@ def test_conjugated_map_inverts_shear(heis_am):
     assert np.allclose(back, X, atol=1e-12)
 
 
+def fixed_point_inverse(G, Y, iters):
+    """G^{-1}(Y) by the shear's fixed point X = exp(-phi(X_h) v) * Y."""
+    X = Y.copy()
+    for _ in range(iters):
+        X = G.ops.bch(-G.bump(X[:, :G.d1])[:, None] * G.direction, Y)
+    return X
+
+
+@pytest.mark.parametrize("system", ["heis_am", "ex5_am"])
+@pytest.mark.parametrize("lipschitz", [0.3, 0.89])
+def test_g_invert_matches_fixed_point_oracle(request, system, lipschitz):
+    am = request.getfixturevalue(system)
+    d, d1 = am.algebra.dim, am.algebra.layer_dims[0]
+    freqs = np.eye(d1, dtype=int)
+    bump = Bump([(freqs[0], 1.0), (freqs[0] + freqs[-1], -0.5)], d1)
+    v = np.arange(1.0, d + 1)
+    probe = ConjugatedMap(am, amplitude=1e-3, direction=v, bump=bump)
+    unit = probe.bump.directional_lipschitz(probe.direction[:d1]) / 1e-3
+    # a Lipschitz constant of 0.89 sits just inside the constructor's guard
+    G = ConjugatedMap(am, amplitude=lipschitz / unit, direction=v, bump=bump)
+    assert G.bump.directional_lipschitz(G.direction[:d1]) == pytest.approx(
+        lipschitz)
+    Y = np.random.default_rng(41).uniform(-1, 1, size=(200, d))
+    X = G.g_invert(Y)
+    assert np.max(np.abs(X - fixed_point_inverse(G, Y, 600))) < 1e-14
+    assert np.max(np.abs(G.g_apply(X) - Y)) < 1e-14
+    with pytest.raises(ConvergenceError, match="stalled"):
+        G.g_invert(np.full((2, d), np.nan))
+
+
+@pytest.mark.parametrize("cls", [PerturbedMap, ConjugatedMap])
+@pytest.mark.parametrize("amplitude,direction,message", [
+    (0.01, [0.0, 0.0, 0.0], "direction must be finite and nonzero"),
+    (0.01, [np.nan, 1.0, 0.0], "direction must be finite and nonzero"),
+    (0.01, [np.inf, 1.0, 0.0], "direction must be finite and nonzero"),
+    (np.inf, None, "amplitude must be finite and nonnegative"),
+    (np.nan, None, "amplitude must be finite and nonnegative"),
+], ids=["zero-direction", "nan-direction", "inf-direction", "inf-amplitude",
+        "nan-amplitude"])
+def test_maps_reject_non_finite_settings(heis_am, cls, amplitude, direction,
+                                         message):
+    with pytest.raises(ValueError, match=message):
+        cls(heis_am, amplitude=amplitude, direction=direction)
+
+
+@pytest.mark.parametrize("coeff", [np.nan, np.inf, -np.inf])
+def test_bump_rejects_non_finite_coefficients(coeff):
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        Bump([([1, 0], 1.0), ([0, 1], coeff)], 2)
+
+
 # ---------------------------------------------------------------------------
 # jacobians
 
@@ -449,6 +500,16 @@ def test_conjugacy_iteration_cap(heis_am):
     with pytest.raises(ConvergenceError) as exc:
         solve_conjugacy(F, grid_n=9, tol=1e-6, max_iter=2)
     assert exc.value.field is not None
+    assert not exc.value.field.converged
+
+
+def test_conjugacy_stops_at_a_non_finite_residual(heis_am):
+    F = PerturbedMap(heis_am, amplitude=0.01)
+    F.direction = np.array([np.nan, 0.0, 0.0])  # past the constructor's check
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ConvergenceError, match="residual is nan at sweep 1") as exc:
+        solve_conjugacy(F, grid_n=5)
+    assert len(exc.value.field.history) == 1
     assert not exc.value.field.converged
 
 
