@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .endo import AutoMap, EndoError, induced_blocks, preserves_lattice
-from .fastops import CoveringRadius, default_grid_n
+from .fastops import CoveringRadius, default_grid_n, sorted_rows
 from .liealg import LieAlgebra
 from .nilgroup import (
     GroupPoint,
@@ -133,7 +133,7 @@ class _Level:
                          for c in self.key], axis=1)
         if self.dtype is object:
             return len(set(map(tuple, keys.tolist())))
-        return len(np.unique(keys, axis=0))
+        return len(sorted_rows(keys)[1])
 
     def floats(self) -> np.ndarray:
         """Second-kind coordinates as floats, each correctly rounded."""
@@ -243,7 +243,12 @@ def covering_radius(points, algebra=None, grid_n: int | None = None,
 
 @dataclass
 class DensityReport:
-    """Per-depth preimage counts and covering radii, plus the fitted rate."""
+    """Per-depth preimage counts and covering radii, plus the fitted rate.
+
+    lookups and pairs say, per depth, how the radius was computed: the
+    kernel's lookup ("torus", "grid", "member" or "box") and its
+    (candidate, evaluated) pair counts.
+    """
 
     index: int
     ks: list[int]
@@ -254,6 +259,8 @@ class DensityReport:
     monotone_decay: bool
     grid_n: int
     search_radius: int
+    lookups: list[str] = field(default_factory=list)
+    pairs: list[tuple[int, int]] = field(default_factory=list)
 
     def rows(self):
         out = []
@@ -314,4 +321,6 @@ def density_experiment(am: AutoMap, x: ManifoldPoint, k_max: int,
         monotone_decay=all(r < 1.0 for r in ratios),
         grid_n=grid_n,
         search_radius=search_radius,
+        lookups=[r.lookup for r in cr.records],
+        pairs=[(r.candidates, r.evaluated) for r in cr.records],
     )

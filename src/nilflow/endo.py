@@ -279,10 +279,3 @@ def stable_exponent(am: AutoMap, tol: float = ANALYTIC_TOL) -> float:
     if split.stable_dim == 0:
         raise EndoError("no stable eigenvalues: stable exponent undefined")
     return math.log(split.mu_s_plus)
-
-
-def stable_subspace_angle(split: SpectralSplit, vectors: np.ndarray) -> float:
-    """Largest principal angle between span(vectors) and the stable space."""
-    from scipy.linalg import subspace_angles
-
-    return float(np.max(subspace_angles(split.stable, vectors)))

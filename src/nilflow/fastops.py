@@ -8,6 +8,7 @@ scalar exact routines in liealg/nilgroup, in float64.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -146,6 +147,26 @@ def _translate_box(dims, radius):
             for v in product(range(-radius, radius + 1), repeat=dims)]
 
 
+def sorted_rows(rows: np.ndarray):
+    """(order, starts) for the rows of a 2-d array: one np.lexsort order
+    that sorts them, and the positions in that order where a new distinct
+    row begins.  len(starts) is the number of distinct rows."""
+    order = np.lexsort(rows.T[::-1])
+    s = rows[order]
+    new = np.ones(len(s), dtype=bool)
+    new[1:] = np.any(s[1:] != s[:-1], axis=1)
+    return order, np.flatnonzero(new)
+
+
+@dataclass
+class KernelRecord:
+    """What one covering-radius call did."""
+
+    lookup: str        # "torus" (step 1), "grid" or "member" (step 2), "box"
+    candidates: int    # (sample, point or location, translate) pairs
+    evaluated: int     # of those, the pairs whose distance was computed
+
+
 class CoveringRadius:
     """max over a second-kind grid of min manifold distance to a point set.
 
@@ -160,11 +181,23 @@ class CoveringRadius:
       column.  When every column is a full product of per-axis arithmetic
       progressions (as in preimage fibres) its best member and central
       translate are one clamped round per axis; otherwise every member is
-      rounded to its nearest central translate;
+      rounded to its nearest central translate.
+      The horizontal part of that BCH is a plain difference h, and the
+      squared quasi-norm max(|h|^2, |c|) is at least |h|^2, so |h|^2 is
+      an exact lower bound.  Each sample is first bounded by its
+      horizontally nearest location under the zero translate; then, one
+      horizontal translate at a time, only the locations whose |h|^2 is
+      below the sample's best so far are evaluated (a few per cent of the
+      pairs in a deep fibre).  A pruned pair cannot lower a minimum, and
+      an evaluated one is computed as without pruning, so the distances
+      are the same to the bit;
     * steps 3 and 4: the whole translate box is enumerated.
 
-    Samples are split into chunks whose arrays hold about 4e6 floats, and
-    chunks run on `threads` worker threads.
+    Samples are split into chunks whose arrays hold about 4e6 floats
+    (at step 2 the |h|^2 array of one translate and its differences, plus
+    every column member for the member lookup; taking one translate at a
+    time keeps the survivors small), and chunks run on `threads` worker
+    threads.  Each call appends a KernelRecord to `records`.
     """
 
     def __init__(self, algebra: LieAlgebra, search_radius: int = 1,
@@ -173,6 +206,7 @@ class CoveringRadius:
         self.alg = algebra
         self.R = int(search_radius)
         self.threads = max(1, int(threads))
+        self.records: list[KernelRecord] = []
 
     def grid(self, n: int) -> np.ndarray:
         d = self.alg.dim
@@ -191,31 +225,50 @@ class CoveringRadius:
                         points_sk: np.ndarray) -> np.ndarray:
         points_sk = np.asarray(points_sk, dtype=float)
         if self.alg.step == 1:
-            return self._run_chunked(self._abelian_chunk, points_sk.size,
-                                     samples_sk, points_sk)
-        if self.alg.step == 2:
-            return self._run_chunked(*self._column_kernel(points_sk),
-                                     samples_sk)
-        return self._run_chunked(self._box_chunk, points_sk.size,
-                                 samples_sk, points_sk)
+            kernel = self._dense_kernel(self._abelian_chunk, points_sk,
+                                        "torus", 1)
+        elif self.alg.step == 2:
+            kernel = self._column_kernel(points_sk)
+        else:
+            kernel = self._dense_kernel(self._box_chunk, points_sk, "box",
+                                        (2 * self.R + 1) ** self.alg.dim)
+        fn, per_sample, lookup, pairs = kernel
+        out, evaluated = self._run_chunked(fn, per_sample, samples_sk)
+        self.records.append(
+            KernelRecord(lookup, len(samples_sk) * pairs, evaluated))
+        return out
 
-    def _run_chunked(self, fn, per_sample, samples_sk, *args):
-        """fn(chunk, *args) over sample chunks of 4e6 // per_sample rows,
-        per_sample being the floats fn allocates per sample."""
+    def _run_chunked(self, fn, per_sample, samples_sk):
+        """fn(chunk) over sample chunks of 4e6 // per_sample rows,
+        per_sample being the floats fn allocates per sample.  fn returns
+        (distances, evaluated pairs), and so does this, over all chunks."""
         S = len(samples_sk)
         chunk = max(1, min(S, int(4e6 // max(1, per_sample))))
         spans = [(a, min(a + chunk, S)) for a in range(0, S, chunk)]
         out = np.empty(S)
+        evaluated = 0
         if self.threads > 1 and len(spans) > 1:
             with ThreadPoolExecutor(max_workers=self.threads) as ex:
-                futs = {ex.submit(fn, samples_sk[a:b], *args): (a, b)
+                futs = {ex.submit(fn, samples_sk[a:b]): (a, b)
                         for a, b in spans}
                 for fut, (a, b) in futs.items():
-                    out[a:b] = fut.result()
+                    out[a:b], n = fut.result()
+                    evaluated += n
         else:
             for a, b in spans:
-                out[a:b] = fn(samples_sk[a:b], *args)
-        return out
+                out[a:b], n = fn(samples_sk[a:b])
+                evaluated += n
+        return out, evaluated
+
+    def _dense_kernel(self, chunk_fn, points, lookup, translates):
+        """(chunk function, floats per sample, lookup, pairs per sample)
+        for a kernel that evaluates every (sample, point, translate)."""
+        pairs = len(points) * translates
+
+        def chunk(samples):
+            return chunk_fn(samples, points), len(samples) * pairs
+
+        return chunk, points.size, lookup, pairs
 
     def _abelian_chunk(self, samples, points):
         diff = points[None, :, :] - samples[:, None, :]
@@ -237,75 +290,125 @@ class CoveringRadius:
     # -- step 2: columns over horizontal locations ---------------------------
 
     def _column_kernel(self, points):
-        """(chunk function, floats a chunk allocates per sample) for step 2."""
+        """(chunk function, floats per sample, lookup, pairs per sample)
+        for step 2."""
         d, d1 = self.alg.dim, self.alg.layer_dims[0]
-        hloc, inv = np.unique(points[:, :d1], axis=0, return_inverse=True)
-        inv = np.ravel(inv)
-        U = len(hloc)
+        order, starts = sorted_rows(points[:, :d1])
+        points = points[order]
+        U = len(starts)
+        inv = np.repeat(np.arange(U), np.diff(np.append(starts, len(points))))
         Yloc = self.ops.from_second_kind(
-            np.concatenate([hloc, np.zeros((U, d - d1))], axis=1))
+            np.concatenate([points[starts, :d1], np.zeros((U, d - d1))], axis=1))
+        # nearest translates first: the zero translate sets the first bounds
+        box = sorted(_translate_box(d1, self.R), key=lambda n: np.abs(n).sum())
         Ygs = []
-        for n1 in _translate_box(d1, self.R):
+        for n1 in box:
             n_vec = np.zeros(d)
             n_vec[:d1] = n1
             Ygs.append(self.ops.bch(Yloc, self.ops.from_second_kind(n_vec)))
         center = points[:, d1:]
-        lookup = self._grid_lookup(center, inv, U)
-        per_sample = U * d
+        lookup, kind = self._grid_lookup(center, inv, U), "grid"
+        # per location: h, |h|^2 and a mask byte; per sample: X and best
+        per_sample = U * (d1 + 1) + U // 8 + d + 1
         if lookup is None:
-            lookup = self._member_lookup(center, inv)
+            lookup, kind = self._member_lookup(center, starts), "member"
             per_sample += center.size
 
         def chunk(samples):
             X = self.ops.from_second_kind(samples)
-            best = np.full(len(samples), np.inf)
-            for Yg in Ygs:
-                W0 = self.ops.bch(Yg[None, :, :], -X[:, None, :])
-                h = W0[..., :d1]
-                hh = np.einsum("suk,suk->su", h, h)
-                # the best member's center is the closest to -W0's (squared)
-                best = np.minimum(best, lookup(hh, -W0[..., d1:]))
-            return np.sqrt(best)
+            best = np.full(len(X), np.inf)
 
-        return chunk, per_sample
+            def fold(Yg, hh, s, u):
+                """Fold the pairs (s, u) into best; returns their count."""
+                W = self.ops.bch(Yg[u], -X[s])
+                # the best member's center is the closest to -W's (squared)
+                np.minimum.at(best, s, lookup(hh[s, u], -W[:, d1:], u))
+                return len(s)
+
+            evaluated = 0
+            for i, Yg in enumerate(Ygs):
+                # bch's horizontal part is this difference; fold reuses
+                # its |h|^2, so the bound and the value agree to the bit
+                h = Yg[None, :, :d1] - X[:, None, :d1]
+                hh = np.einsum("suk,suk->su", h, h)
+                if i == 0:
+                    nearest = hh.argmin(axis=1)
+                    evaluated += fold(Yg, hh, np.arange(len(X)), nearest)
+                s, u = np.nonzero(hh < best[:, None])
+                if len(s):
+                    evaluated += fold(Yg, hh, s, u)
+            return np.sqrt(best), evaluated
+
+        return chunk, per_sample, kind, U * len(Ygs)
 
     def _grid_lookup(self, center, inv, U):
         """Best-member lookup when every column is the full product of
         per-axis arithmetic progressions, or None.  The squared central
         distance then splits over the axes: one clamped round per column,
-        axis and central translate."""
-        order = np.argsort(inv, kind="stable")
-        bounds = np.searchsorted(inv[order], np.arange(U + 1))
-        c0, steps, lens = (np.ones((U, center.shape[1])) for _ in range(3))
-        for u in range(U):
-            col = center[order[bounds[u]:bounds[u + 1]]]
-            axes = [np.unique(a) for a in col.T]
-            lens[u] = [len(a) for a in axes]
-            if (len(np.unique(col, axis=0)) != np.prod(lens[u])
-                    or any(len(a) > 2 and np.ptp(np.diff(a)) > 1e-12
-                           for a in axes)):
+        axis and central translate.  inv maps each member to its column,
+        0..U-1.  Each axis takes one sort of the (column, value) pairs."""
+        n, dc = center.shape
+        c0, steps, lens = (np.ones((U, dc)) for _ in range(3))
+        members = np.bincount(inv, minlength=U)
+        size = np.ones(U, dtype=np.int64)       # nodes of the column's product
+        node = np.zeros(n, dtype=np.int64)      # each member's node in it
+        for a in range(dc):
+            order = np.lexsort((center[:, a], inv))
+            v, col = center[order, a], inv[order]
+            new = np.ones(n, dtype=bool)
+            new[1:] = (col[1:] != col[:-1]) | (v[1:] != v[:-1])
+            vals, vcol = v[new], col[new]       # distinct values, ascending
+            head = np.ones(len(vals), dtype=bool)
+            head[1:] = vcol[1:] != vcol[:-1]
+            first = np.flatnonzero(head)        # each column's first value
+            count = np.diff(np.append(first, len(vals)))
+            size *= count
+            if np.any(size > members):
                 return None
-            c0[u] = [a[0] for a in axes]
-            steps[u] = [a[1] - a[0] if len(a) > 1 else 1.0 for a in axes]
+            inner = ~head[1:]                   # steps within one column
+            gaps, gcol = np.diff(vals)[inner], vcol[1:][inner]
+            hi, lo = np.full(U, -np.inf), np.full(U, np.inf)
+            np.maximum.at(hi, gcol, gaps)
+            np.minimum.at(lo, gcol, gaps)
+            if np.any(hi - lo > 1e-12):
+                return None
+            rank = np.cumsum(new) - 1 - first[col]
+            node[order] = node[order] * count[col] + rank
+            lens[:, a] = count
+            c0[:, a] = vals[first]
+            multi = count > 1
+            steps[multi, a] = vals[first[multi] + 1] - vals[first[multi]]
+        # the column is the product iff its members hit every node
+        hit = np.zeros(int(size.sum()), dtype=bool)
+        hit[np.cumsum(size)[inv] - size[inv] + node] = True
+        if not hit.all():
+            return None
 
-        def lookup(hh, q):
+        def lookup(hh, q, u):
+            c0u, stu, top = c0[u], steps[u], lens[u] - 1
             cent = np.full(q.shape, np.inf)
             for s in range(-self.R, self.R + 1):
-                k = np.clip(np.round((q - s - c0) / steps), 0, lens - 1)
-                cent = np.minimum(cent, (c0 + k * steps + s - q) ** 2)
-            return np.maximum(hh, np.sqrt(cent.sum(axis=-1))).min(axis=1)
+                k = np.clip(np.round((q - s - c0u) / stu), 0, top)
+                cent = np.minimum(cent, (c0u + k * stu + s - q) ** 2)
+            return np.maximum(hh, np.sqrt(cent.sum(axis=-1)))
 
         return lookup
 
-    def _member_lookup(self, center, inv):
+    def _member_lookup(self, center, starts):
         """Best-member lookup over every member: per central axis, the
-        clamped nearest central translate."""
+        clamped nearest central translate.  center is ordered by column,
+        column u starting at row starts[u]."""
+        sizes = np.diff(np.append(starts, len(center)))
 
-        def lookup(hh, q):
-            c = center[None, :, :] - q[:, inv, :]
+        def lookup(hh, q, u):
+            m = sizes[u]
+            first = np.cumsum(m) - m            # each pair's run of members
+            pair = np.repeat(np.arange(len(u)), m)
+            member = np.arange(len(pair)) + np.repeat(starts[u] - first, m)
+            c = center[member] - q[pair]
             c += np.clip(np.round(-c), -self.R, self.R)
-            cc = np.sqrt(np.einsum("spk,spk->sp", c, c))
-            return np.maximum(hh[:, inv], cc).min(axis=1)
+            cc = np.sqrt(np.einsum("pk,pk->p", c, c))
+            return np.minimum.reduceat(np.maximum(hh[pair], cc), first)
 
         return lookup
 

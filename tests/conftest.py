@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy.linalg import subspace_angles
 
 from nilflow.endo import AutoMap
 from nilflow.liealg import abelian, from_sparse_triples, heisenberg
@@ -81,3 +83,9 @@ def rand_rationals(rng, n, span=6, max_den=8):
     nums = rng.integers(-span, span + 1, size=n) * dens + rng.integers(
         0, dens)
     return tuple(Fraction(int(p), int(q)) for p, q in zip(nums, dens))
+
+
+def stable_subspace_angle(split, vectors):
+    """Largest principal angle between span(vectors) and the stable space
+    of a SpectralSplit."""
+    return float(np.max(subspace_angles(split.stable, vectors)))

@@ -30,7 +30,6 @@ from nilflow.endo import (
     is_totally_non_invertible,
     is_u_ideal,
     stable_exponent,
-    stable_subspace_angle,
 )
 from nilflow.fastops import BatchOps
 from nilflow.liealg import abelian
@@ -46,7 +45,7 @@ from nilflow.nilgroup import (
     to_second_kind,
 )
 from nilflow.ratcore import RatMatrix
-from tests.conftest import rand_rationals
+from tests.conftest import rand_rationals, stable_subspace_angle
 
 LAMBDA_S = math.log(3 - math.sqrt(5))
 SQRT5 = math.sqrt(5)

@@ -19,7 +19,7 @@ from nilflow.density import (
     preimages,
 )
 from nilflow.endo import EndoError
-from nilflow.fastops import CoveringRadius
+from nilflow.fastops import BatchOps, CoveringRadius, _translate_box
 from nilflow.nilgroup import (
     GroupPoint,
     ManifoldPoint,
@@ -98,6 +98,10 @@ def test_covering_radius_single_point(torus2):
 def test_density_experiment_report(heis_am, heis_base):
     rep = density_experiment(heis_am, heis_base, 3)
     assert rep.counts == [16, 256, 4096]
+    assert rep.lookups == ["grid"] * 3
+    # (sample, horizontal location, horizontal translate) candidates
+    assert [c for c, _ in rep.pairs] == [33 ** 3 * 4 ** k * 9 for k in (1, 2, 3)]
+    assert all(0 < e < c for c, e in rep.pairs)
     assert all(b < a for a, b in zip(rep.radii, rep.radii[1:]))
     ratios = [b / a for a, b in zip(rep.radii, rep.radii[1:])]
     assert all(r <= 0.8 for r in ratios)
@@ -324,3 +328,110 @@ def test_threads_give_bitwise_equal_distances(monkeypatch, request, system,
         samples, points)
     assert len(chunks) >= 2 and sum(chunks) == len(samples)
     assert two.tobytes() == one.tobytes()
+
+
+def test_dense_kernels_record_every_pair(doubling, filiform3):
+    for am, lookup, translates in ((doubling, "torus", 1), (filiform3, "box", 81)):
+        points = fibre_sk(am, 1)
+        cr = CoveringRadius(am.algebra)
+        cr(points, 3)
+        n = 3 ** am.algebra.dim * len(points) * translates
+        assert [(r.lookup, r.candidates, r.evaluated) for r in cr.records] == [
+            (lookup, n, n)]
+
+
+# -- the pruned step-2 kernel against the unpruned evaluation -----------------
+
+def unpruned_min_dists(algebra, R, samples, points):
+    """The step-2 column kernel without the |h|^2 bound: one BCH and one
+    best-member lookup per (sample, location, horizontal translate), the
+    grid lookup where every column is a product of progressions and the
+    member lookup otherwise."""
+    ops = BatchOps(algebra)
+    d, d1 = algebra.dim, algebra.layer_dims[0]
+    hloc, inv = np.unique(points[:, :d1], axis=0, return_inverse=True)
+    inv, U, center = np.ravel(inv), len(hloc), points[:, d1:]
+    Yloc = ops.from_second_kind(
+        np.concatenate([hloc, np.zeros((U, d - d1))], axis=1))
+    lookup = unpruned_grid_lookup(center, inv, U, R)
+    if lookup is None:
+        def lookup(hh, q):
+            c = center[None, :, :] - q[:, inv, :]
+            c += np.clip(np.round(-c), -R, R)
+            cc = np.sqrt(np.einsum("spk,spk->sp", c, c))
+            return np.maximum(hh[:, inv], cc).min(axis=1)
+    Ygs = [ops.bch(Yloc, ops.from_second_kind(np.concatenate([n1, np.zeros(d - d1)])))
+           for n1 in _translate_box(d1, R)]
+    best = np.full(len(samples), np.inf)
+    step = max(1, int(2e6 // (U * d + points.size)))
+    for a in range(0, len(samples), step):
+        X = ops.from_second_kind(samples[a:a + step])
+        for Yg in Ygs:
+            W0 = ops.bch(Yg[None, :, :], -X[:, None, :])
+            h = W0[..., :d1]
+            best[a:a + step] = np.minimum(best[a:a + step], lookup(
+                np.einsum("suk,suk->su", h, h), -W0[..., d1:]))
+    return np.sqrt(best)
+
+
+def unpruned_grid_lookup(center, inv, U, R):
+    """The grid lookup over all pairs, one column at a time with np.unique
+    per axis, or None where a column is not a product of progressions."""
+    order = np.argsort(inv, kind="stable")
+    bounds = np.searchsorted(inv[order], np.arange(U + 1))
+    c0, steps, lens = (np.ones((U, center.shape[1])) for _ in range(3))
+    for u in range(U):
+        col = center[order[bounds[u]:bounds[u + 1]]]
+        axes = [np.unique(a) for a in col.T]
+        lens[u] = [len(a) for a in axes]
+        if (len(np.unique(col, axis=0)) != np.prod(lens[u])
+                or any(len(a) > 2 and np.ptp(np.diff(a)) > 1e-12 for a in axes)):
+            return None
+        c0[u] = [a[0] for a in axes]
+        steps[u] = [a[1] - a[0] if len(a) > 1 else 1.0 for a in axes]
+
+    def lookup(hh, q):
+        cent = np.full(q.shape, np.inf)
+        for s in range(-R, R + 1):
+            k = np.clip(np.round((q - s - c0) / steps), 0, lens - 1)
+            cent = np.minimum(cent, (c0 + k * steps + s - q) ** 2)
+        return np.maximum(hh, np.sqrt(cent.sum(axis=-1))).min(axis=1)
+
+    return lookup
+
+
+@pytest.mark.parametrize("system,k,grid_n", [
+    ("heis_am", 1, 17), ("heis_am", 2, 17), ("heis_am", 3, 17), ("heis_am", 4, 17),
+    ("ex5_am", 1, 5), ("ex5_am", 2, 5), ("ex5_am", 3, 5),
+])
+def test_pruned_kernel_is_bitwise_unpruned(request, system, k, grid_n):
+    """Full columns (grid lookup) and thinned ones (member lookup) at search
+    radius 0, 1 and 2.  The unpruned member lookup takes one step per
+    (sample, member, translate), so thinned fibres run where those are at
+    most 5e7: up to k=2 and k=3 at radius 0 on Heisenberg, and up to k=2
+    and k=3 at radius 0 and 1 on example5d."""
+    am = request.getfixturevalue(system)
+    d1 = am.algebra.layer_dims[0]
+    full = fibre_sk(am, k)
+    thin = drop_inner_member(full, d1)
+    samples = CoveringRadius(am.algebra).grid(grid_n)
+    for R in (0, 1, 2):
+        for points, lookup in ((full, "grid"), (thin, "member")):
+            if (lookup == "member"
+                    and len(samples) * len(points) * (2 * R + 1) ** d1 > 5e7):
+                continue
+            cr = CoveringRadius(am.algebra, R)
+            got = cr.min_dist_to_set(samples, points)
+            want = unpruned_min_dists(am.algebra, R, samples, points)
+            assert got.tobytes() == want.tobytes()
+            assert cr.records[-1].lookup == lookup
+
+
+def test_prune_evaluates_few_pairs(heis_am):
+    """Heisenberg k=4 at grid 17: 9 x 4,913 x 256 candidate pairs, of which
+    the |h|^2 bound leaves under 5% to evaluate."""
+    cr = CoveringRadius(heis_am.algebra)
+    cr(fibre_sk(heis_am, 4), 17)
+    (rec,) = cr.records
+    assert rec.candidates == 9 * 17 ** 3 * 256
+    assert rec.evaluated < 0.05 * rec.candidates

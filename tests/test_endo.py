@@ -20,10 +20,10 @@ from nilflow.endo import (
     is_u_ideal,
     preserves_lattice,
     stable_exponent,
-    stable_subspace_angle,
 )
 from nilflow.liealg import abelian, heisenberg
 from nilflow.ratcore import RatMatrix
+from tests.conftest import stable_subspace_angle
 
 PHI = (1 + math.sqrt(5)) / 2
 
