@@ -196,8 +196,10 @@ class CoveringRadius:
     Samples are split into chunks whose arrays hold about 4e6 floats
     (at step 2 the |h|^2 array of one translate and its differences, plus
     every column member for the member lookup; taking one translate at a
-    time keeps the survivors small), and chunks run on `threads` worker
-    threads.  Each call appends a KernelRecord to `records`.
+    time keeps the survivors small, and they are evaluated at most one
+    pair per sample at a time, so a chunk's memory does not depend on how
+    many survive), and chunks run on `threads` worker threads.  Each call
+    appends a KernelRecord to `records`.
     """
 
     def __init__(self, algebra: LieAlgebra, search_radius: int = 1,
@@ -319,10 +321,14 @@ class CoveringRadius:
             best = np.full(len(X), np.inf)
 
             def fold(Yg, hh, s, u):
-                """Fold the pairs (s, u) into best; returns their count."""
-                W = self.ops.bch(Yg[u], -X[s])
-                # the best member's center is the closest to -W's (squared)
-                np.minimum.at(best, s, lookup(hh[s, u], -W[:, d1:], u))
+                """Fold the pairs (s, u) into best, at most one pair per
+                sample at a time; returns their count."""
+                for a in range(0, len(s), len(X)):
+                    sb, ub = s[a:a + len(X)], u[a:a + len(X)]
+                    W = self.ops.bch(Yg[ub], -X[sb])
+                    # the best member's center is the closest to -W's
+                    # (squared)
+                    np.minimum.at(best, sb, lookup(hh[sb, ub], -W[:, d1:], ub))
                 return len(s)
 
             evaluated = 0
